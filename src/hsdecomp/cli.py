@@ -21,11 +21,12 @@ import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from . import forms, posdecomp, superop
 from .core import DEFAULT_TOL
 from .exceptions import InputError, NumericalError
-from .posdecomp import SignedLRSum, SignedTerm, ZetaCertificate
+from .posdecomp import ZetaCertificate
 from .serialize import (
     canonical_digest,
     jsonify,
@@ -39,25 +40,6 @@ from .superop import LRSum
 
 __all__ = ["main"]
 
-_SUBCOMMANDS = (
-    "classify",
-    "apply",
-    "liouville",
-    "decompose-basis",
-    "decompose-selfadjoint",
-    "reduce",
-    "adjoint",
-    "one-sum",
-    "two-sum",
-    "pd-decompose",
-    "zeta-check",
-    "zeta-transform",
-    "counterexample",
-    "build-ip",
-    "form-eval",
-    "equiv",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we own the exit codes
@@ -67,20 +49,18 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hsdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
-    for name in _SUBCOMMANDS:
+    for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--in", dest="infile", metavar="FILE", default=None)
         p.add_argument("--out", dest="outfile", metavar="FILE", default=None)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        if name == "counterexample":
-            p.add_argument("--t", type=float, required=True)
-        if name == "decompose-basis":
-            p.add_argument("--variant", choices=("left", "right"), default="left")
-        if name in ("zeta-check", "zeta-transform"):
-            p.add_argument("--zeta", default=None, metavar="CSV")
-        if name in ("one-sum", "two-sum", "pd-decompose", "zeta-check", "zeta-transform"):
+        for flag, kwargs in cmd.options:
+            p.add_argument(flag, **kwargs)
+        if cmd.mirror:
             p.add_argument("--mirror", action="store_true")
+        else:
+            p.set_defaults(mirror=False)
     return parser
 
 
@@ -107,23 +87,20 @@ def _unwrap_operator_obj(obj) -> dict:
     raise InputError("input does not contain an operator (need dim/terms or terms_out)")
 
 
-def _load_operator(args):
+def _load_operator(args, fold: bool = True) -> tuple[LRSum, str]:
+    """The input operator and the digest of it as given.
+
+    With ``fold`` the signs are folded into the left factors; with
+    ``--mirror`` the operator is then transposed (``main`` transposes
+    ``terms_out`` back).
+    """
     op = obj_to_operator(_unwrap_operator_obj(_read_input(args)))
-    return op, canonical_digest(operator_to_obj(op))
-
-
-def _as_unsigned(op) -> LRSum:
-    return op.as_lrsum() if isinstance(op, SignedLRSum) else op
-
-
-def _as_signed(op) -> SignedLRSum:
-    if isinstance(op, SignedLRSum):
-        return op
-    return SignedLRSum(op.dim, tuple(SignedTerm(1, t.a, t.b) for t in op.terms))
-
-
-def _mirror_signed(s: SignedLRSum) -> SignedLRSum:
-    return SignedLRSum(s.dim, tuple(SignedTerm(t.sign, t.b.T, t.a.T) for t in s.terms))
+    digest = canonical_digest(operator_to_obj(op))
+    if fold:
+        op = op.as_lrsum()
+    if args.mirror:
+        op = superop.transpose_dual(op)
+    return op, digest
 
 
 def _parse_zetas(text: str) -> ZetaCertificate:
@@ -136,6 +113,7 @@ def _parse_zetas(text: str) -> ZetaCertificate:
 
 def _report(command, digest, tolerances, *, cls=None, lambda_min=None,
             kernel_dim=None, terms_out=None, trace=None, result=None) -> dict:
+    """The report layout; ``terms_out`` is an operator, serialized by ``main``."""
     return {
         "command": command,
         "inputs_digest": digest,
@@ -152,13 +130,15 @@ def _report(command, digest, tolerances, *, cls=None, lambda_min=None,
 
 def _tols(args, **extra) -> dict:
     out = {"tol": args.tol}
+    if _COMMANDS[args.command].mirror:
+        out["mirror"] = args.mirror
     out.update(extra)
     return out
 
 
 def _cmd_classify(args):
     op, digest = _load_operator(args)
-    rep = superop.classify_superop(_as_unsigned(op), args.tol)
+    rep = superop.classify_superop(op, args.tol)
     return _report(
         "classify", digest, _tols(args),
         cls=rep.kind.value, lambda_min=rep.lambda_min, kernel_dim=rep.kernel_dim,
@@ -170,7 +150,7 @@ def _cmd_apply(args):
     obj = _read_input(args)
     if not isinstance(obj, dict) or "sum" not in obj or "eta" not in obj:
         raise InputError("apply input must be an object with 'sum' and 'eta'")
-    op = _as_unsigned(obj_to_operator(_unwrap_operator_obj(obj["sum"])))
+    op = obj_to_operator(_unwrap_operator_obj(obj["sum"])).as_lrsum()
     eta = rows_to_matrix(obj["eta"], op.dim, "eta")
     digest = canonical_digest({"sum": operator_to_obj(op), "eta": matrix_to_rows(eta)})
     out = superop.apply_superop(op, eta)
@@ -179,105 +159,79 @@ def _cmd_apply(args):
 
 def _cmd_liouville(args):
     op, digest = _load_operator(args)
-    m = superop.to_liouville(_as_unsigned(op))
+    m = superop.to_liouville(op)
     return _report("liouville", digest, _tols(args), result={"matrix": matrix_to_rows(m)})
 
 
 def _cmd_decompose_basis(args):
     op, digest = _load_operator(args)
-    m = superop.to_liouville(_as_unsigned(op))
+    m = superop.to_liouville(op)
     out = superop.from_liouville(m, args.variant)
     return _report(
         "decompose-basis", digest, _tols(args, variant=args.variant),
-        terms_out=operator_to_obj(out), result={"term_count": len(out)},
+        terms_out=out, result={"term_count": len(out)},
     )
 
 
 def _cmd_decompose_selfadjoint(args):
     op, digest = _load_operator(args)
-    out = superop.selfadjoint_decompose(_as_unsigned(op), args.tol)
+    out = superop.selfadjoint_decompose(op, args.tol)
     return _report(
         "decompose-selfadjoint", digest, _tols(args),
-        terms_out=operator_to_obj(out), result={"term_count": len(out)},
+        terms_out=out, result={"term_count": len(out)},
     )
 
 
 def _cmd_reduce(args):
     op, digest = _load_operator(args)
-    out = superop.reduce_terms(_as_unsigned(op), args.tol)
+    out = superop.reduce_terms(op, args.tol)
     return _report(
         "reduce", digest, _tols(args),
-        terms_out=operator_to_obj(out), result={"term_count": len(out)},
+        terms_out=out, result={"term_count": len(out)},
     )
 
 
 def _cmd_adjoint(args):
     op, digest = _load_operator(args)
-    out = superop.adjoint(_as_unsigned(op))
-    return _report("adjoint", digest, _tols(args), terms_out=operator_to_obj(out))
+    out = superop.adjoint(op)
+    return _report("adjoint", digest, _tols(args), terms_out=out)
 
 
 def _cmd_one_sum(args):
-    op, digest = _load_operator(args)
-    s = _as_unsigned(op)
-    if args.mirror:
-        s = superop.transpose_dual(s)
+    s, digest = _load_operator(args)
     if len(s) != 1:
         raise InputError(f"one-sum takes exactly one term, got {len(s)}")
     a_hat, b_hat, trace = posdecomp.one_sum_positive(s.terms[0].a, s.terms[0].b, args.tol)
     out = LRSum.from_pairs([(a_hat, b_hat)], s.dim)
-    if args.mirror:
-        out = superop.transpose_dual(out)
-    return _report(
-        "one-sum", digest, _tols(args, mirror=args.mirror),
-        terms_out=operator_to_obj(out), trace=trace_to_obj(trace),
-    )
+    return _report("one-sum", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace))
 
 
 def _cmd_two_sum(args):
-    op, digest = _load_operator(args)
-    s = _as_unsigned(op)
-    if args.mirror:
-        s = superop.transpose_dual(s)
+    s, digest = _load_operator(args)
     if len(s) != 2:
         raise InputError(f"two-sum takes exactly two terms, got {len(s)}")
     (t1, t2) = s.terms
-    signed, trace = posdecomp.two_sum_pd(t1.a, t1.b, t2.a, t2.b, args.tol)
-    if args.mirror:
-        signed = _mirror_signed(signed)
-    return _report(
-        "two-sum", digest, _tols(args, mirror=args.mirror),
-        terms_out=operator_to_obj(signed), trace=trace_to_obj(trace),
-    )
+    out, trace = posdecomp.two_sum_pd(t1.a, t1.b, t2.a, t2.b, args.tol)
+    return _report("two-sum", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace))
 
 
 def _cmd_pd_decompose(args):
-    op, digest = _load_operator(args)
-    s = _as_unsigned(op)
-    if args.mirror:
-        s = superop.transpose_dual(s)
-    signed, trace = posdecomp.pd_decompose(s, args.tol)
-    if args.mirror:
-        signed = _mirror_signed(signed)
+    s, digest = _load_operator(args)
+    out, trace = posdecomp.pd_decompose(s, args.tol)
     return _report(
-        "pd-decompose", digest, _tols(args, mirror=args.mirror),
-        terms_out=operator_to_obj(signed), trace=trace_to_obj(trace),
+        "pd-decompose", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace)
     )
 
 
 def _cmd_zeta_check(args):
-    op, digest = _load_operator(args)
-    signed = _as_signed(op)
-    if args.mirror:
-        signed = _mirror_signed(signed)
+    signed, digest = _load_operator(args, fold=False)
     searched = args.zeta is None
     if searched:
         cert = posdecomp.find_zeta_certificate(signed, args.tol)
         if cert is None:
             result = {"ok": False, "zetas": None, "b_margins": None,
                       "a_margin": None, "searched": True}
-            return _report("zeta-check", digest,
-                           _tols(args, mirror=args.mirror, zeta=None), result=result)
+            return _report("zeta-check", digest, _tols(args, zeta=None), result=result)
     else:
         cert = _parse_zetas(args.zeta)
     check = posdecomp.zeta_check(signed, cert, args.tol)
@@ -288,15 +242,11 @@ def _cmd_zeta_check(args):
         "a_margin": jsonify(check.a_margin),
         "searched": searched,
     }
-    return _report("zeta-check", digest,
-                   _tols(args, mirror=args.mirror, zeta=list(cert.zetas)), result=result)
+    return _report("zeta-check", digest, _tols(args, zeta=list(cert.zetas)), result=result)
 
 
 def _cmd_zeta_transform(args):
-    op, digest = _load_operator(args)
-    signed = _as_signed(op)
-    if args.mirror:
-        signed = _mirror_signed(signed)
+    signed, digest = _load_operator(args, fold=False)
     if args.zeta is not None:
         cert = _parse_zetas(args.zeta)
     else:
@@ -304,11 +254,9 @@ def _cmd_zeta_transform(args):
         if cert is None:
             raise NumericalError("no valid zeta certificate found by the search")
     out = posdecomp.zeta_transform(signed, cert, args.tol)
-    if args.mirror:
-        out = superop.transpose_dual(out)
     return _report(
-        "zeta-transform", digest, _tols(args, mirror=args.mirror, zeta=list(cert.zetas)),
-        terms_out=operator_to_obj(out), result={"zetas": list(cert.zetas)},
+        "zeta-transform", digest, _tols(args, zeta=list(cert.zetas)),
+        terms_out=out, result={"zetas": list(cert.zetas)},
     )
 
 
@@ -316,8 +264,7 @@ def _cmd_counterexample(args):
     out = posdecomp.counterexample_superop(args.t)
     digest = canonical_digest({"t": float(args.t)})
     return _report(
-        "counterexample", digest, _tols(args, t=float(args.t)),
-        terms_out=operator_to_obj(out),
+        "counterexample", digest, _tols(args, t=float(args.t)), terms_out=out
     )
 
 
@@ -341,8 +288,7 @@ def _cmd_build_ip(args):
     fc = forms.classify_form(phi, args.tol)
     return _report(
         "build-ip", digest, _tols(args),
-        cls=fc.kind.value, lambda_min=fc.lambda_min,
-        terms_out=operator_to_obj(phi.op),
+        cls=fc.kind.value, lambda_min=fc.lambda_min, terms_out=phi.op,
     )
 
 
@@ -350,7 +296,7 @@ def _cmd_form_eval(args):
     obj = _read_input(args)
     if not isinstance(obj, dict) or not all(k in obj for k in ("sum", "eta", "tau")):
         raise InputError("form-eval input must be an object with 'sum', 'eta' and 'tau'")
-    op = _as_unsigned(obj_to_operator(_unwrap_operator_obj(obj["sum"])))
+    op = obj_to_operator(_unwrap_operator_obj(obj["sum"])).as_lrsum()
     eta = rows_to_matrix(obj["eta"], op.dim, "eta")
     tau = rows_to_matrix(obj["tau"], op.dim, "tau")
     digest = canonical_digest({
@@ -366,8 +312,8 @@ def _cmd_equiv(args):
     obj = _read_input(args)
     if not isinstance(obj, dict) or "sum1" not in obj or "sum2" not in obj:
         raise InputError("equiv input must be an object with 'sum1' and 'sum2'")
-    op1 = _as_unsigned(obj_to_operator(_unwrap_operator_obj(obj["sum1"])))
-    op2 = _as_unsigned(obj_to_operator(_unwrap_operator_obj(obj["sum2"])))
+    op1 = obj_to_operator(_unwrap_operator_obj(obj["sum1"])).as_lrsum()
+    op2 = obj_to_operator(_unwrap_operator_obj(obj["sum2"])).as_lrsum()
     digest = canonical_digest({"sum1": operator_to_obj(op1), "sum2": operator_to_obj(op2)})
     res = forms.equivalence_constants(forms.Form(op1), forms.Form(op2), args.tol)
     return _report(
@@ -377,28 +323,41 @@ def _cmd_equiv(args):
             "c_hi": res.c_hi,
             "witness_lo": matrix_to_rows(res.witness_lo),
             "witness_hi": matrix_to_rows(res.witness_hi),
-            "operator_norm_bounds": {"lo": res.loose_lo, "hi": res.loose_hi},
+            "operator_norm_bounds": {"lo": res.c_lo, "hi": res.c_hi},
         },
     )
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "apply": _cmd_apply,
-    "liouville": _cmd_liouville,
-    "decompose-basis": _cmd_decompose_basis,
-    "decompose-selfadjoint": _cmd_decompose_selfadjoint,
-    "reduce": _cmd_reduce,
-    "adjoint": _cmd_adjoint,
-    "one-sum": _cmd_one_sum,
-    "two-sum": _cmd_two_sum,
-    "pd-decompose": _cmd_pd_decompose,
-    "zeta-check": _cmd_zeta_check,
-    "zeta-transform": _cmd_zeta_transform,
-    "counterexample": _cmd_counterexample,
-    "build-ip": _cmd_build_ip,
-    "form-eval": _cmd_form_eval,
-    "equiv": _cmd_equiv,
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], dict]
+    options: tuple = ()  # (flag, add_argument keywords) beyond --in/--out/--tol/--format
+    mirror: bool = False  # accepts --mirror: transpose the input and terms_out
+
+
+_ZETA = (("--zeta", {"default": None, "metavar": "CSV"}),)
+
+_COMMANDS = {
+    "classify": _Command(_cmd_classify),
+    "apply": _Command(_cmd_apply),
+    "liouville": _Command(_cmd_liouville),
+    "decompose-basis": _Command(
+        _cmd_decompose_basis,
+        (("--variant", {"choices": ("left", "right"), "default": "left"}),),
+    ),
+    "decompose-selfadjoint": _Command(_cmd_decompose_selfadjoint),
+    "reduce": _Command(_cmd_reduce),
+    "adjoint": _Command(_cmd_adjoint),
+    "one-sum": _Command(_cmd_one_sum, mirror=True),
+    "two-sum": _Command(_cmd_two_sum, mirror=True),
+    "pd-decompose": _Command(_cmd_pd_decompose, mirror=True),
+    "zeta-check": _Command(_cmd_zeta_check, _ZETA, mirror=True),
+    "zeta-transform": _Command(_cmd_zeta_transform, _ZETA, mirror=True),
+    "counterexample": _Command(
+        _cmd_counterexample, (("--t", {"type": float, "required": True}),)
+    ),
+    "build-ip": _Command(_cmd_build_ip),
+    "form-eval": _Command(_cmd_form_eval),
+    "equiv": _Command(_cmd_equiv),
 }
 
 
@@ -467,7 +426,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     command = args.command
     try:
-        report = _HANDLERS[command](args)
+        report = _COMMANDS[command].handler(args)
+        # the input of a --mirror command was transposed on loading
+        out = report["terms_out"]
+        if out is not None:
+            if args.mirror:
+                out = superop.transpose_dual(out)
+            report["terms_out"] = operator_to_obj(out)
     except InputError as exc:
         _emit_error(args, exc, command)
         return 1

@@ -157,18 +157,15 @@ class EquivalenceResult:
     """Tight norm-equivalence constants between two inner-product forms.
 
     c_lo ||eta||_1 <= ||eta||_2 <= c_hi ||eta||_1 with both bounds
-    attained at the returned witness matrices. ``loose_lo``/``loose_hi``
-    are the bounds obtained from the representing operators' norms
-    instead of the full pencil; in this finite Hermitian setting they
-    coincide with the tight ones up to rounding.
+    attained at the returned witness matrices. The operator-norm bounds
+    ||T1||^(-1/2) and ||T2||^(1/2) (m1 = m2 T1, m2 = m1 T2) are the same
+    extreme pencil values, so they equal c_lo and c_hi.
     """
 
     c_lo: float
     c_hi: float
     witness_lo: np.ndarray
     witness_hi: np.ndarray
-    loose_lo: float
-    loose_hi: float
 
 
 def equivalence_constants(
@@ -194,14 +191,9 @@ def equivalence_constants(
     ext = pencil_extremes(m2, m1)
     c_lo = float(np.sqrt(max(ext.lambda_min, 0.0)))
     c_hi = float(np.sqrt(max(ext.lambda_max, 0.0)))
-    # operator-norm route: ||T2||_phi1 with m2 = m1 T2, and symmetrically
-    t2_norm = pencil_extremes(m2, m1).lambda_max
-    t1_norm = pencil_extremes(m1, m2).lambda_max
     return EquivalenceResult(
         c_lo=c_lo,
         c_hi=c_hi,
         witness_lo=unvec(ext.v_min, phi1.dim),
         witness_hi=unvec(ext.v_max, phi1.dim),
-        loose_lo=float(t1_norm) ** -0.5,
-        loose_hi=float(t2_norm) ** 0.5,
     )

@@ -17,8 +17,8 @@ the pencil offsets. Every chosen parameter is recorded in a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .exceptions import (
     NotSelfadjointError,
 )
 from .pencil import pencil_extremes
-from .superop import LRSum, LRTerm, left_blocks, to_liouville
+from .superop import LRSum, LRTerm, left_blocks, selfadjoint_blocks, to_liouville
 
 __all__ = [
     "SignedTerm",
@@ -68,67 +68,13 @@ _EPS_START = 0.125
 _EPS_FLOOR = 2.0**-40
 
 
-@dataclass(frozen=True, slots=True)
-class SignedTerm:
-    sign: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
-        a = as_square_matrix(self.a, "a")
-        b = as_square_matrix(self.b, "b")
-        if a.shape != b.shape:
-            raise InputError(
-                f"term factors disagree in dimension: {a.shape[0]} vs {b.shape[0]}"
-            )
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
+# The negative-leading-term decomposition is an LRSum whose first term may
+# carry sign -1; these names are kept for callers that construct one.
+SignedLRSum = LRSum
 
 
-@dataclass(frozen=True, slots=True)
-class SignedLRSum:
-    """LR-sum with signed terms; at most one negative sign, always first."""
-
-    dim: int
-    terms: tuple[SignedTerm, ...] = field(default=())
-
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise InputError(f"dim must be a positive integer, got {self.dim!r}")
-        terms = tuple(
-            t if isinstance(t, SignedTerm) else SignedTerm(*t) for t in self.terms
-        )
-        negatives = [i for i, t in enumerate(terms) if t.sign == -1]
-        if len(negatives) > 1:
-            raise InputError("at most one negative term is allowed")
-        if negatives and negatives[0] != 0:
-            raise InputError("the negative term must come first")
-        for t in terms:
-            if t.dim != self.dim:
-                raise InputError(f"term dimension {t.dim} does not match dim {self.dim}")
-        object.__setattr__(self, "terms", terms)
-
-    @property
-    def has_negative(self) -> bool:
-        return bool(self.terms) and self.terms[0].sign == -1
-
-    def as_lrsum(self) -> LRSum:
-        """Fold the signs into the left factors."""
-        return LRSum(self.dim, tuple(LRTerm(t.sign * t.a, t.b) for t in self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[SignedTerm]:
-        return iter(self.terms)
+def SignedTerm(sign: int, a, b) -> LRTerm:
+    return LRTerm(a, b, sign)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,15 +244,15 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 
 def _one_sum_fallback(
     p: np.ndarray, q: np.ndarray, dim: int, tol: float, tracer: _Tracer, note: str
-) -> SignedLRSum:
+) -> LRSum:
     """Degenerate two-sum path: one term vanished, rescale the survivor."""
     a_hat, b_hat, sub = one_sum_positive(p, q, tol)
     tracer.add("one_sum_fallback", note=note, sub_steps=[s.name for s in sub.steps])
-    pad = SignedTerm(1, np.zeros((dim, dim), dtype=_COMPLEX), np.eye(dim, dtype=_COMPLEX))
-    return SignedLRSum(dim, (SignedTerm(1, a_hat, b_hat), pad))
+    pad = LRTerm(np.zeros((dim, dim), dtype=_COMPLEX), np.eye(dim, dtype=_COMPLEX))
+    return LRSum(dim, (LRTerm(a_hat, b_hat), pad))
 
 
-def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[SignedLRSum, DecompositionTrace]:
+def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, DecompositionTrace]:
     """Normalize a two-term positive definite superoperator.
 
     Returns two plus-signed terms with both left factors positive
@@ -426,8 +372,7 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[SignedLRSum, D
         ]
         tracer.add("left_pencil", s0=s0, s=s_off, eps=eps, shrinks=shrinks)
 
-    signed = SignedLRSum(dim, tuple(SignedTerm(1, p, q) for p, q in terms))
-    return signed, tracer.freeze()
+    return LRSum.from_pairs(terms, dim), tracer.freeze()
 
 
 def diag_blocks(s: LRSum, tol: float = DEFAULT_TOL) -> list[tuple[np.ndarray, Any]]:
@@ -450,17 +395,10 @@ def diag_blocks(s: LRSum, tol: float = DEFAULT_TOL) -> list[tuple[np.ndarray, An
     return out
 
 
-def _eps_hat_blocks(m: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
-    """Right factors of the selfadjoint basis decomposition, keyed 0-based."""
-    blocks = left_blocks(m)
-    return {
-        (n, mm): (0.5 - 0.5j) * blocks[n, mm] + (0.5 + 0.5j) * blocks[mm, n]
-        for n in range(d)
-        for mm in range(d)
-    }
+_eps_hat_blocks = selfadjoint_blocks  # former name of the shared helper
 
 
-def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[SignedLRSum, DecompositionTrace]:
+def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, DecompositionTrace]:
     """Negative-leading-term decomposition of a positive definite superoperator.
 
     Returns a signed sum -a1 eta b1 + sum_{n>=2} a_n eta b_n representing
@@ -504,17 +442,17 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[SignedLRSum, Decom
     if d == 1:
         c = m[0, 0].real
         one = np.ones((1, 1), dtype=_COMPLEX)
-        signed = SignedLRSum(
+        signed = LRSum(
             1,
             (
-                SignedTerm(-1, one, c * one),
-                SignedTerm(1, 2.0 * one, c * one),
+                LRTerm(one, c * one, -1),
+                LRTerm(2.0 * one, c * one),
             ),
         )
         tracer.add("scalar_case", value=c)
         return signed, tracer.freeze()
 
-    blocks = _eps_hat_blocks(m, d)
+    blocks = selfadjoint_blocks(m, d)
     diag1 = blocks[(0, 0)]
     diag2 = blocks[(1, 1)]
     others = [(n, mm) for n in range(d) for mm in range(d) if (n, mm) not in ((0, 0), (1, 1))]
@@ -594,19 +532,19 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[SignedLRSum, Decom
     for nm in sorted(lam):
         neg_right = neg_right + lam[nm] * right3[nm]
     out = [
-        SignedTerm(-1, neg_left, neg_right),
-        SignedTerm(1, left_comb, right1 + alpha * right2),
+        LRTerm(neg_left, neg_right, -1),
+        LRTerm(left_comb, right1 + alpha * right2),
     ]
     for nm in sorted(rest):
         n, mm = nm
         if n != mm:
-            out.append(SignedTerm(1, hat[nm] + lam[nm] * neg_left, right3[nm]))
+            out.append(LRTerm(hat[nm] + lam[nm] * neg_left, right3[nm]))
         else:
-            out.append(SignedTerm(1, matrix_unit(d, n + 1, n + 1), right3[nm]))
-    return SignedLRSum(d, tuple(out)), tracer.freeze()
+            out.append(LRTerm(matrix_unit(d, n + 1, n + 1), right3[nm]))
+    return LRSum(d, tuple(out)), tracer.freeze()
 
 
-def _check_zeta_shape(decomp: SignedLRSum, certificate: ZetaCertificate) -> None:
+def _check_zeta_shape(decomp: LRSum, certificate: ZetaCertificate) -> None:
     if not decomp.terms:
         raise InputError("decomposition has no terms")
     if not decomp.has_negative:
@@ -620,7 +558,7 @@ def _check_zeta_shape(decomp: SignedLRSum, certificate: ZetaCertificate) -> None
 
 
 def zeta_check(
-    decomp: SignedLRSum, certificate: ZetaCertificate, tol: float = DEFAULT_TOL
+    decomp: LRSum, certificate: ZetaCertificate, tol: float = DEFAULT_TOL
 ) -> ZetaCheckResult:
     """Validate a zeta certificate against a negative-leading decomposition.
 
@@ -645,7 +583,7 @@ def zeta_check(
 
 
 def zeta_transform(
-    decomp: SignedLRSum, certificate: ZetaCertificate, tol: float = DEFAULT_TOL
+    decomp: LRSum, certificate: ZetaCertificate, tol: float = DEFAULT_TOL
 ) -> LRSum:
     """Rewrite a certified negative-leading decomposition with no negative term.
 
@@ -669,7 +607,7 @@ def zeta_transform(
 
 
 def find_zeta_certificate(
-    decomp: SignedLRSum, tol: float = DEFAULT_TOL, max_halvings: int = 20
+    decomp: LRSum, tol: float = DEFAULT_TOL, max_halvings: int = 20
 ) -> ZetaCertificate | None:
     """Search for a valid certificate along the pencil-feasible ray.
 

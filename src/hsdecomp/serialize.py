@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .exceptions import InputError
-from .posdecomp import DecompositionTrace, SignedLRSum, SignedTerm
+from .posdecomp import DecompositionTrace
 from .superop import LRSum, LRTerm
 
 __all__ = [
@@ -67,17 +67,16 @@ def rows_to_matrix(rows, dim: int | None = None, where: str = "matrix") -> np.nd
     return out
 
 
-def operator_to_obj(s: LRSum | SignedLRSum) -> dict:
+def operator_to_obj(s: LRSum) -> dict:
     """Normalized JSON object for an operator; the sign field is always explicit."""
     terms = []
     for t in s.terms:
-        sign = t.sign if isinstance(t, SignedTerm) else 1
-        terms.append({"sign": sign, "a": matrix_to_rows(t.a), "b": matrix_to_rows(t.b)})
+        terms.append({"sign": t.sign, "a": matrix_to_rows(t.a), "b": matrix_to_rows(t.b)})
     return {"dim": s.dim, "terms": terms}
 
 
-def obj_to_operator(obj) -> LRSum | SignedLRSum:
-    """Parse an operator object; returns a SignedLRSum iff a negative sign appears."""
+def obj_to_operator(obj) -> LRSum:
+    """Parse an operator object; a missing sign means +1."""
     if not isinstance(obj, dict):
         raise InputError("operator: expected a JSON object")
     if "dim" not in obj or "terms" not in obj:
@@ -99,9 +98,7 @@ def obj_to_operator(obj) -> LRSum | SignedLRSum:
         b = rows_to_matrix(term["b"], dim, f"term {i} 'b'")
         parsed.append((int(sign), a, b))
     try:
-        if any(sign == -1 for sign, _, _ in parsed):
-            return SignedLRSum(dim, tuple(SignedTerm(*t) for t in parsed))
-        return LRSum(dim, tuple(LRTerm(a, b) for _, a, b in parsed))
+        return LRSum(dim, tuple(LRTerm(a, b, sign) for sign, a, b in parsed))
     except InputError:
         raise
     except ValueError as exc:

@@ -1,8 +1,9 @@
 """Superoperators on the matrix space, in two interchangeable forms.
 
 A superoperator is represented either as an LR-sum -- a finite list of
-(a, b) pairs acting by eta -> sum_n a_n eta b_n -- or as its dense
-Liouville matrix acting on column-stacked matrices.
+signed (a, b) pairs acting by eta -> sum_n s_n a_n eta b_n, where at most
+the first sign s_1 may be -1 -- or as its dense Liouville matrix acting on
+column-stacked matrices.
 
 We use the column-stacking convention throughout:
 
@@ -56,12 +57,15 @@ _COMPLEX = np.complex128
 
 @dataclass(frozen=True, slots=True)
 class LRTerm:
-    """One left-right multiplication summand eta -> a eta b."""
+    """One left-right multiplication summand eta -> sign * a eta b, sign = +-1."""
 
     a: np.ndarray
     b: np.ndarray
+    sign: int = 1
 
     def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
         a = as_square_matrix(self.a, "a")
         b = as_square_matrix(self.b, "b")
         if a.shape != b.shape:
@@ -80,7 +84,11 @@ class LRTerm:
 
 @dataclass(frozen=True, slots=True)
 class LRSum:
-    """A superoperator eta -> sum_n a_n eta b_n; an empty term list is the zero operator."""
+    """A superoperator eta -> sum_n s_n a_n eta b_n; an empty term list is the zero operator.
+
+    At most one sign s_n is -1, and then it is the first: the shape of the
+    negative-leading-term decomposition.
+    """
 
     dim: int
     terms: tuple[LRTerm, ...] = field(default=())
@@ -91,6 +99,11 @@ class LRSum:
         terms = tuple(
             t if isinstance(t, LRTerm) else LRTerm(*t) for t in self.terms
         )
+        negatives = [i for i, t in enumerate(terms) if t.sign == -1]
+        if len(negatives) > 1:
+            raise InputError("at most one negative term is allowed")
+        if negatives and negatives[0] != 0:
+            raise InputError("the negative term must come first")
         for t in terms:
             if t.dim != self.dim:
                 raise InputError(f"term dimension {t.dim} does not match dim {self.dim}")
@@ -104,6 +117,16 @@ class LRSum:
                 raise InputError("cannot infer dim from an empty pair list")
             dim = terms[0].dim
         return cls(dim, terms)
+
+    @property
+    def has_negative(self) -> bool:
+        return bool(self.terms) and self.terms[0].sign == -1
+
+    def as_lrsum(self) -> "LRSum":
+        """The same operator with every sign folded into its left factor."""
+        if not self.has_negative:
+            return self
+        return LRSum(self.dim, tuple(LRTerm(t.sign * t.a, t.b) for t in self.terms))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -133,21 +156,21 @@ def unvec(x, dim: int | None = None) -> np.ndarray:
 
 
 def apply_superop(s: LRSum, eta) -> np.ndarray:
-    """Evaluate sum_n a_n eta b_n by direct matrix products."""
+    """Evaluate sum_n s_n a_n eta b_n by direct matrix products."""
     eta = as_square_matrix(eta, "eta")
     if eta.shape[0] != s.dim:
         raise InputError(f"dimension mismatch: operator dim {s.dim}, eta dim {eta.shape[0]}")
     out = np.zeros((s.dim, s.dim), dtype=_COMPLEX)
-    for t in s.terms:
+    for t in s.as_lrsum().terms:
         out += t.a @ eta @ t.b
     return out
 
 
 def to_liouville(s: LRSum) -> np.ndarray:
-    """Dense Liouville matrix sum_n (b_n^T kron a_n)."""
+    """Dense Liouville matrix sum_n s_n (b_n^T kron a_n)."""
     n = s.dim * s.dim
     out = np.zeros((n, n), dtype=_COMPLEX)
-    for t in s.terms:
+    for t in s.as_lrsum().terms:
         out += np.kron(t.b.T, t.a)
     return out
 
@@ -208,25 +231,40 @@ def left_blocks(m) -> np.ndarray:
     return m.reshape(d, d, d, d).transpose(1, 3, 2, 0)
 
 
+def selfadjoint_blocks(m: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
+    """Right factors ((1-i)/2) a_nm + ((1+i)/2) a_mn of the selfadjoint basis
+    decomposition, keyed by the 0-based basis pair (n, m).
+
+    ``a_nm`` are the left-variant coefficient blocks of the Liouville matrix
+    ``m``; each right factor pairs with the Hermitian basis element (n, m).
+    """
+    blocks = left_blocks(m)
+    return {
+        (n, mm): (0.5 - 0.5j) * blocks[n, mm] + (0.5 + 0.5j) * blocks[mm, n]
+        for n in range(d)
+        for mm in range(d)
+    }
+
+
 def adjoint(s: LRSum) -> LRSum:
-    """Adjoint superoperator: term list (a_n*, b_n*).
+    """Adjoint superoperator: term list (a_n*, b_n*), signs kept.
 
     Satisfies <apply(s, rho), eta> = <rho, apply(adjoint(s), eta)> for the
     trace inner product, equivalently its Liouville matrix is the
     conjugate transpose of the original.
     """
-    return LRSum(s.dim, tuple(LRTerm(t.a.conj().T, t.b.conj().T) for t in s.terms))
+    return LRSum(s.dim, tuple(LRTerm(t.a.conj().T, t.b.conj().T, t.sign) for t in s.terms))
 
 
 def transpose_dual(s: LRSum) -> LRSum:
     """Swap left/right factor roles via the transpose duality.
 
-    eta -> (s(eta^T))^T has term list (b_n^T, a_n^T). The transpose map is
-    unitary for the trace inner product, so positivity classes and the
-    spectrum are preserved while the roles of the factor families are
-    interchanged.
+    eta -> (s(eta^T))^T has term list (b_n^T, a_n^T), signs kept. The
+    transpose map is unitary for the trace inner product, so positivity
+    classes and the spectrum are preserved while the roles of the factor
+    families are interchanged.
     """
-    return LRSum(s.dim, tuple(LRTerm(t.b.T, t.a.T) for t in s.terms))
+    return LRSum(s.dim, tuple(LRTerm(t.b.T, t.a.T, t.sign) for t in s.terms))
 
 
 def _independent_subset(columns: Sequence[np.ndarray], tol: float):
@@ -234,7 +272,9 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
 
     Returns (kept_indices, coefficients) where ``coefficients[j]`` expands
     a dependent column j over the kept ones. Thresholds are absolute at
-    tol * (largest singular value of the full stack).
+    tol * (largest singular value of the full stack). Once the kept columns
+    span the whole space every further column is dependent; the SVD of a
+    wider trial would not show it, as it has only row-count singular values.
     """
     if not columns:
         return [], {}
@@ -254,9 +294,9 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
             else:
                 coeffs[j] = np.zeros(0, dtype=_COMPLEX)
             continue
-        trial = stack[:, kept + [j]]
-        smin = np.linalg.svd(trial, compute_uv=False)[-1]
-        if smin > threshold:
+        if len(kept) < stack.shape[0] and (
+            np.linalg.svd(stack[:, kept + [j]], compute_uv=False)[-1] > threshold
+        ):
             kept.append(j)
         else:
             sol, *_ = np.linalg.lstsq(stack[:, kept], stack[:, j], rcond=None)
@@ -272,12 +312,12 @@ def reduce_terms(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     right factors, then the same on the right side folding into the left.
     After the first pass the left family is independent, and the second
     pass's left-side updates cannot break that, so both families end up
-    independent. The Liouville matrix is preserved up to the rank
-    threshold.
+    independent. Signs are folded into the left factors first. The
+    Liouville matrix is preserved up to the rank threshold.
     """
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    terms = list(s.terms)
+    terms = list(s.as_lrsum().terms)
     if not terms:
         return s
 
@@ -322,15 +362,12 @@ def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
             f"Liouville matrix is not Hermitian: defect {defect:.3e} "
             f"exceeds tol * norm = {tol * frob_norm(m):.3e}"
         )
-    blocks = left_blocks(m)
     d = s.dim
-    terms = []
-    for n in range(d):
-        for mm in range(d):
-            right = (0.5 - 0.5j) * blocks[n, mm] + (0.5 + 0.5j) * blocks[mm, n]
-            if not right.any():
-                continue
-            terms.append(LRTerm(hermitian_unit(d, n + 1, mm + 1), right))
+    terms = [
+        LRTerm(hermitian_unit(d, n + 1, mm + 1), right)
+        for (n, mm), right in selfadjoint_blocks(m, d).items()
+        if right.any()
+    ]
     return LRSum(d, tuple(terms))
 
 

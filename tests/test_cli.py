@@ -230,6 +230,8 @@ def test_equiv(capsys, monkeypatch):
     rep = run_json(["equiv", "--in", fixture("equiv_input.json")], capsys, monkeypatch)
     assert rep["result"]["c_lo"] == pytest.approx(2.0)
     assert rep["result"]["c_hi"] == pytest.approx(2.0)
+    res = rep["result"]
+    assert res["operator_norm_bounds"] == {"lo": res["c_lo"], "hi": res["c_hi"]}
 
 
 def test_stdin_and_outfile(tmp_path, capsys, monkeypatch):

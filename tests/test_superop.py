@@ -4,6 +4,7 @@ import pytest
 from hsdecomp import (
     InputError,
     LRSum,
+    LRTerm,
     NotSelfadjointError,
     PositivityClass,
     adjoint,
@@ -20,7 +21,7 @@ from hsdecomp import (
     unvec,
     vec,
 )
-from hsdecomp.posdecomp import counterexample_superop
+from hsdecomp.posdecomp import counterexample_superop, pd_decompose
 from helpers import (
     kernel_disjoint_psd_family,
     liouville_by_action,
@@ -218,6 +219,7 @@ def test_reduce_empty():
 
 def test_reduce_output_families_independent():
     rng = np.random.default_rng(13)
+    inputs = []
     for _ in range(10):
         d = 3
         base = random_lrsum(rng, d, 2)
@@ -226,7 +228,10 @@ def test_reduce_output_families_independent():
             (base.terms[0].a * 1.5 + base.terms[1].a, random_matrix(rng, d)),
             (random_matrix(rng, d), base.terms[0].b - 2 * base.terms[1].b),
         ]
-        s = LRSum.from_pairs(list((t.a, t.b) for t in base.terms) + extra, d)
+        inputs.append(LRSum.from_pairs(list((t.a, t.b) for t in base.terms) + extra, d))
+    # more terms than d^2: at most d^2 factors of a family can be independent
+    inputs.append(random_lrsum(rng, 2, 6))
+    for s in inputs:
         red = reduce_terms(s)
         assert rel_err(to_liouville(red), to_liouville(s)) <= 1e-9
         for side in ("a", "b"):
@@ -236,6 +241,27 @@ def test_reduce_output_families_independent():
         assert len(red) == np.linalg.matrix_rank(
             np.column_stack([vec(t.a) for t in red.terms])
         )
+
+
+def test_signed_sum_agrees_with_folded_sum():
+    rng = np.random.default_rng(14)
+    signed, _ = pd_decompose(counterexample_superop(0.25))
+    np.testing.assert_allclose(apply_superop(signed, np.eye(2)), 1.75 * np.eye(2), atol=1e-12)
+    lead = LRTerm(random_matrix(rng, 3), random_matrix(rng, 3), -1)
+    random_signed = LRSum(3, (lead,) + random_lrsum(rng, 3, 3).terms)
+    for s in (signed, random_signed):
+        folded = s.as_lrsum()
+        assert s.has_negative and not folded.has_negative
+        m = to_liouville(folded)
+        assert rel_err(to_liouville(s), m) <= 1e-14
+        eta = random_matrix(rng, s.dim)
+        assert rel_err(apply_superop(s, eta), apply_superop(folded, eta)) <= 1e-14
+        rep, rep_folded = classify_superop(s), classify_superop(folded)
+        assert rep.kind is rep_folded.kind
+        assert rep.lambda_min == pytest.approx(rep_folded.lambda_min, nan_ok=True)
+        for op in (adjoint, transpose_dual, reduce_terms):
+            assert rel_err(to_liouville(op(s)), to_liouville(op(folded))) <= 1e-12
+        assert rel_err(to_liouville(adjoint(s)), m.conj().T) <= 1e-14
 
 
 def test_selfadjoint_decompose_identity():
