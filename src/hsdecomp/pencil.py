@@ -1,9 +1,15 @@
 """Generalized Hermitian eigenvalue pencils (B, C) with C positive definite.
 
-Wraps ``scipy.linalg.eigh(B, C)`` and adds the deterministic eigenvector
-phase convention used throughout the package. The pencil eigenvalues are
-the stationary values of <f, B f> / <f, C f>; in particular the smallest
-one is the largest scalar s with B - s C still positive semidefinite.
+The pencil is reduced to a standard Hermitian problem by the Cholesky
+factorization of C, as LAPACK ``zhegv`` does (Golub & Van Loan, *Matrix
+Computations*, §8.7): with C = L L*, the pencil eigenvalues are those of
+L⁻¹ B L⁻*, and an eigenvector y of that matrix gives v = L⁻* y with
+v* C v = 1. Only numpy is used. On top of the solve sits the deterministic
+eigenvector phase convention used throughout the package.
+
+The pencil eigenvalues are the stationary values of <f, B f> / <f, C f>; in
+particular the smallest one is the largest scalar s with B - s C still
+positive semidefinite.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_square_matrix, fix_phase, hermitian_part
 from .exceptions import NumericalError
@@ -27,25 +32,43 @@ class PencilExtremes:
     v_max: np.ndarray
 
 
+def _solve(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pencil eigenvalues and C-orthonormal eigenvectors, unphased."""
+    b = hermitian_part(as_square_matrix(b, "b"))
+    c = hermitian_part(as_square_matrix(c, "c"))
+    try:
+        l_inv = np.linalg.solve(np.linalg.cholesky(c), np.eye(c.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite w below
+            w, y = np.linalg.eigh(l_inv @ b @ l_inv.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil base matrix is not positive definite: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("pencil base matrix is numerically singular: eigenvalues overflowed")
+    return w, l_inv.conj().T @ y
+
+
 def pencil_eigh(b, c) -> tuple[np.ndarray, np.ndarray]:
     """All pencil eigenvalues (ascending) and phase-fixed eigenvectors.
 
     Both inputs are Hermitized before the solve; ``c`` must be positive
-    definite for the generalized problem to be well posed.
+    definite for the generalized problem to be well posed. The eigenvectors
+    are C-orthonormal: v* C v = I.
     """
-    b = hermitian_part(as_square_matrix(b, "b"))
-    c = hermitian_part(as_square_matrix(c, "c"))
-    try:
-        w, v = scipy.linalg.eigh(b, c)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise NumericalError(f"pencil base matrix is not positive definite: {exc}") from exc
+    w, v = _solve(b, c)
     v = np.column_stack([fix_phase(v[:, i]) for i in range(v.shape[1])])
     return w, v
 
 
 def pencil_extremes(b, c) -> PencilExtremes:
-    """Extreme pencil eigenvalues with unit-norm witnesses."""
-    w, v = pencil_eigh(b, c)
-    v_min = v[:, 0] / np.linalg.norm(v[:, 0])
-    v_max = v[:, -1] / np.linalg.norm(v[:, -1])
-    return PencilExtremes(float(w[0]), float(w[-1]), v_min, v_max)
+    """Extreme pencil eigenvalues with unit-norm witnesses.
+
+    Only the two extreme eigenvectors are phase-fixed; each witness equals
+    the normalized first or last column of ``pencil_eigh``.
+    """
+    w, v = _solve(b, c)
+    v_min = fix_phase(v[:, 0])
+    v_max = fix_phase(v[:, -1])
+    return PencilExtremes(
+        float(w[0]), float(w[-1]),
+        v_min / np.linalg.norm(v_min), v_max / np.linalg.norm(v_max),
+    )

@@ -92,11 +92,11 @@ def obj_to_operator(obj) -> LRSum:
         if not isinstance(term, dict) or "a" not in term or "b" not in term:
             raise InputError(f"operator: term {i} must be an object with 'a' and 'b'")
         sign = term.get("sign", 1)
-        if sign not in (1, -1):
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
             raise InputError(f"operator: term {i} sign must be 1 or -1, got {sign!r}")
         a = rows_to_matrix(term["a"], dim, f"term {i} 'a'")
         b = rows_to_matrix(term["b"], dim, f"term {i} 'b'")
-        parsed.append((int(sign), a, b))
+        parsed.append((sign, a, b))
     try:
         return LRSum(dim, tuple(LRTerm(a, b, sign) for sign, a, b in parsed))
     except InputError:

@@ -251,6 +251,14 @@ def test_invalid_json_input(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def test_non_integer_sign_is_input_error(capsys, monkeypatch):
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    text = json.dumps({"dim": 2, "terms": [{"sign": True, "a": rows, "b": rows}]})
+    code, out, _ = run_cli(["classify"], text, capsys, monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
 def test_missing_operator_input(capsys, monkeypatch):
     code, out, _ = run_cli(["classify"], '{"foo": 1}', capsys, monkeypatch)
     assert code == 1
@@ -315,3 +323,13 @@ def test_pipeline_classify_subprocess():
     rep = json.loads(code.stdout)
     assert rep["class"] == "PositiveDefinite"
     assert abs(rep["lambda_min"] - 0.25) <= 1e-9
+
+
+def test_import_loads_no_scipy():
+    # checks which modules a fresh interpreter loads, not how long it takes
+    code = subprocess.run(
+        [sys.executable, "-c", "import sys, hsdecomp; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert code.returncode == 0, code.stderr
+    assert code.stdout.strip() == "False"

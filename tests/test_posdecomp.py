@@ -8,6 +8,7 @@ from hsdecomp import (
     NotPositiveDefiniteError,
     NotPositiveError,
     NotSelfadjointError,
+    NumericalError,
     PositivityClass,
     SignedLRSum,
     SignedTerm,
@@ -23,6 +24,8 @@ from hsdecomp import (
     matrix_unit,
     one_sum_positive,
     pd_decompose,
+    pencil_eigh,
+    pencil_extremes,
     to_liouville,
     two_sum_pd,
     zeta_check,
@@ -38,6 +41,7 @@ from helpers import (
     random_pd,
     random_pd_liouville,
     random_psd,
+    random_unitary,
     rel_err,
     stacked_kernel_trivial,
 )
@@ -465,8 +469,6 @@ def test_counterexample_quadratic_form_identity(t):
 
 def test_pencil_against_oracle():
     rng = np.random.default_rng(41)
-    from hsdecomp import pencil_eigh
-
     for _ in range(10):
         d = int(rng.integers(2, 6))
         b = random_hermitian(rng, d)
@@ -477,3 +479,72 @@ def test_pencil_against_oracle():
         for k in range(d):
             resid = b @ v[:, k] - w[k] * (c @ v[:, k])
             assert np.linalg.norm(resid) < 1e-9 * max(1, np.linalg.norm(b))
+
+
+def test_pencil_d1():
+    w, v = pencil_eigh([[3.0]], [[4.0]])
+    np.testing.assert_allclose(w, pencil_oracle(np.array([[3.0]]), np.array([[4.0]])), rtol=1e-15)
+    np.testing.assert_allclose(v, [[0.5]], rtol=1e-15)
+    ext = pencil_extremes([[3.0]], [[4.0]])
+    assert ext.lambda_min == ext.lambda_max == pytest.approx(0.75, rel=1e-15)
+    np.testing.assert_array_equal(ext.v_min, [1.0])
+
+
+def test_pencil_ill_conditioned_base():
+    # cond(C) = 1e8: first-order perturbation theory bounds the eigenvalue
+    # error by about eps * cond(C) * max|w| for any backward-stable solver.
+    rng = np.random.default_rng(42)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        d = int(rng.integers(2, 9))
+        u = random_unitary(rng, d)
+        c = (u * np.logspace(0, -8, d)) @ u.conj().T
+        b = random_hermitian(rng, d)
+        w, v = pencil_eigh(b, c)
+        ref = pencil_oracle(b, c)
+        np.testing.assert_allclose(w, ref, rtol=0, atol=10 * eps * 1e8 * np.abs(ref).max())
+        np.testing.assert_allclose(v.conj().T @ c @ v, np.eye(d), atol=1e-7)
+        for k in range(d):
+            resid = np.linalg.norm(b @ v[:, k] - w[k] * (c @ v[:, k]))
+            scale = (np.linalg.norm(b, 2) + abs(w[k]) * np.linalg.norm(c, 2)) * np.linalg.norm(v[:, k])
+            assert resid <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e12])
+def test_pencil_scale_invariant(s):
+    rng = np.random.default_rng(43)
+    for _ in range(10):
+        d = int(rng.integers(1, 9))
+        b = random_hermitian(rng, d)
+        c = random_pd(rng, d)
+        w = pencil_eigh(b, c)[0]
+        w_scaled = pencil_eigh(s * b, s * c)[0]
+        np.testing.assert_allclose(w_scaled, w, rtol=0, atol=1e-12 * np.abs(w).max())
+        np.testing.assert_allclose(w_scaled, pencil_oracle(s * b, s * c), rtol=0,
+                                   atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("c", [
+    np.zeros((2, 2)),
+    np.diag([1.0, 0.0]),
+    np.diag([1.0, -1.0]),
+    np.diag([-1.0, -2.0, -3.0]),
+    np.diag([1.0, 1e-320]),  # Cholesky succeeds, the reduced matrix overflows
+])
+def test_pencil_rejects_singular_or_indefinite_base(c):
+    with pytest.raises(NumericalError, match="^pencil base matrix is"):
+        pencil_eigh(np.eye(len(c)), c)
+    with pytest.raises(NumericalError, match="^pencil base matrix is"):
+        pencil_extremes(np.eye(len(c)), c)
+
+
+def test_pencil_extremes_witnesses_match_pencil_eigh():
+    rng = np.random.default_rng(44)
+    for d in (1, 2, 5, 16):
+        b = random_hermitian(rng, d)
+        c = random_pd(rng, d)
+        w, v = pencil_eigh(b, c)
+        ext = pencil_extremes(b, c)
+        assert ext.lambda_min == w[0] and ext.lambda_max == w[-1]
+        np.testing.assert_array_equal(ext.v_min, v[:, 0] / np.linalg.norm(v[:, 0]))
+        np.testing.assert_array_equal(ext.v_max, v[:, -1] / np.linalg.norm(v[:, -1]))

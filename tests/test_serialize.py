@@ -70,8 +70,12 @@ def test_operator_schema_errors():
                 {"sign": 2, "a": matrix_to_rows(np.eye(2)), "b": matrix_to_rows(np.eye(2))}
             ]}
         )
-    # misplaced negative sign
     rows = matrix_to_rows(np.eye(2))
+    # a sign must be the integer 1 or -1, not a bool or a float
+    for sign in (True, 1.0, -1.0):
+        with pytest.raises(InputError, match="sign must be 1 or -1"):
+            obj_to_operator({"dim": 2, "terms": [{"sign": sign, "a": rows, "b": rows}]})
+    # misplaced negative sign
     with pytest.raises(InputError):
         obj_to_operator(
             {"dim": 2, "terms": [
