@@ -12,6 +12,11 @@ Conventions
 - ``classify_hermitian`` works at a relative tolerance: the Hermiticity
   test compares against tol * ||T||_F, the eigenvalue thresholds against
   tol * max(1, ||T||_F).
+- ``_lambda_min_stack`` applies the same rule to a (k, n, n) stack with one
+  batched ``eigh``: it returns each matrix's lambda_min (NaN where the
+  Hermiticity test fails) and threshold, bit for bit what
+  ``classify_hermitian`` computes, for internal positivity tests that need
+  no witness or report.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -106,8 +111,9 @@ def op_norm(a) -> float:
 
 
 def hermitian_part(t) -> np.ndarray:
+    """(T + T*)/2, of a matrix or of each matrix in a stack."""
     t = np.asarray(t, dtype=_COMPLEX)
-    return (t + t.conj().T) / 2
+    return (t + t.conj().swapaxes(-1, -2)) / 2
 
 
 def skew_part(t) -> np.ndarray:
@@ -169,6 +175,34 @@ class PositivityReport:
         return self.kind is PositivityClass.POSITIVE_DEFINITE
 
 
+def _tolerance_rule(t: np.ndarray, tol: float) -> tuple[bool, float]:
+    """The classifier's rule for one finite matrix: (non_hermitian, threshold).
+
+    T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its
+    eigenvalues are thresholded at tol * max(1, ||T||_F).
+    """
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")
+    norm_t = frob_norm(t)
+    return frob_norm(t - t.conj().T) > tol * norm_t, tol * max(1.0, norm_t)
+
+
+def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
+
+    The values are those ``classify_hermitian`` reports, from one batched
+    ``eigh``: lambda_min is NaN where the Hermiticity test fails. A matrix
+    is positive definite iff lambda_min > threshold and positive
+    semidefinite iff lambda_min >= -threshold (both false for NaN).
+    """
+    ts = np.asarray(ts, dtype=_COMPLEX)
+    if not np.all(np.isfinite(ts)):
+        raise InputError("T: entries must be finite")
+    non_hermitian, threshold = (np.array(x) for x in zip(*(_tolerance_rule(t, tol) for t in ts)))
+    lam = np.linalg.eigh(hermitian_part(ts))[0][:, 0]
+    return np.where(non_hermitian, math.nan, lam), threshold
+
+
 def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     """Classify a matrix as NonHermitian / Indefinite / PsdSingular / PositiveDefinite.
 
@@ -179,18 +213,14 @@ def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     threshold band), above it is PositiveDefinite.
     """
     t = as_square_matrix(t, "T")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    norm_t = frob_norm(t)
-    defect = frob_norm(t - t.conj().T)
-    if defect > tol * norm_t:
+    non_hermitian, threshold = _tolerance_rule(t, tol)
+    if non_hermitian:
         w, v = np.linalg.eigh(1j * skew_part(t))
         idx = int(np.argmax(np.abs(w)))
         return PositivityReport(
             PositivityClass.NON_HERMITIAN, math.nan, 0, fix_phase(v[:, idx])
         )
     w, v = np.linalg.eigh(hermitian_part(t))
-    threshold = tol * max(1.0, norm_t)
     lam = float(w[0])
     kernel_dim = int(np.count_nonzero(np.abs(w) <= threshold))
     witness = fix_phase(v[:, 0])

@@ -7,6 +7,12 @@ L⁻¹ B L⁻*, and an eigenvector y of that matrix gives v = L⁻* y with
 v* C v = 1. Only numpy is used. On top of the solve sits the deterministic
 eigenvector phase convention used throughout the package.
 
+Several pencils that share the base C are solved together by
+``_pencil_minima``: it factors C and forms L⁻¹ once, runs one batched
+``eigh`` over the stack of L⁻¹ B_i L⁻*, and yields the smallest eigenvalue
+of each pencil, bit for bit what ``pencil_extremes(B_i, C).lambda_min``
+returns.
+
 The pencil eigenvalues are the stationary values of <f, B f> / <f, C f>; in
 particular the smallest one is the largest scalar s with B - s C still
 positive semidefinite.
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_square_matrix, fix_phase, hermitian_part
-from .exceptions import NumericalError
+from .exceptions import InputError, NumericalError
 
 __all__ = ["PencilExtremes", "pencil_eigh", "pencil_extremes"]
 
@@ -32,19 +38,54 @@ class PencilExtremes:
     v_max: np.ndarray
 
 
+_COMPLEX = np.complex128
+
+_OVERFLOW = "pencil base matrix is numerically singular: eigenvalues overflowed"
+
+
+def _reduced_eigh(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigen-decompose L⁻¹ B L⁻* (C = L L*) for a Hermitian B or a stack of them.
+
+    Returns (w, y, L⁻¹); w may be non-finite, which callers report.
+    """
+    try:
+        l_inv = np.linalg.solve(np.linalg.cholesky(c), np.eye(c.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # callers check w for overflow
+            w, y = np.linalg.eigh(l_inv @ b @ l_inv.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"pencil base matrix is not positive definite: {exc}") from exc
+    return w, y, l_inv
+
+
 def _solve(b, c) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pencil eigenvalues and C-orthonormal eigenvectors, unphased."""
     b = hermitian_part(as_square_matrix(b, "b"))
     c = hermitian_part(as_square_matrix(c, "c"))
-    try:
-        l_inv = np.linalg.solve(np.linalg.cholesky(c), np.eye(c.shape[0]))
-        with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite w below
-            w, y = np.linalg.eigh(l_inv @ b @ l_inv.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"pencil base matrix is not positive definite: {exc}") from exc
+    w, y, l_inv = _reduced_eigh(b, c)
     if not np.all(np.isfinite(w)):
-        raise NumericalError("pencil base matrix is numerically singular: eigenvalues overflowed")
+        raise NumericalError(_OVERFLOW)
     return w, l_inv.conj().T @ y
+
+
+def _pencil_minima(bs, c):
+    """Yield the smallest eigenvalue of each pencil (bs[i], c), sharing one factor of c.
+
+    Everything is computed at the first step. A non-finite input or a bad
+    base raises there; a pencil whose eigenvalues overflowed raises at its
+    own step, where ``pencil_extremes`` would have raised. An empty ``bs``
+    computes nothing.
+    """
+    if len(bs) == 0:
+        return
+    bs = np.asarray(bs, dtype=_COMPLEX)
+    if not np.all(np.isfinite(bs)):
+        raise InputError("b: entries must be finite")
+    c = hermitian_part(as_square_matrix(c, "c"))
+    w, _, _ = _reduced_eigh(hermitian_part(bs), c)
+    for w_i in w:
+        if not np.all(np.isfinite(w_i)):
+            raise NumericalError(_OVERFLOW)
+        yield float(w_i[0])
 
 
 def pencil_eigh(b, c) -> tuple[np.ndarray, np.ndarray]:

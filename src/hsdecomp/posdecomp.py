@@ -17,6 +17,7 @@ the pencil offsets. Every chosen parameter is recorded in a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    PositivityClass,
+    _lambda_min_stack,
     as_square_matrix,
     classify_hermitian,
     frob_norm,
@@ -42,7 +43,7 @@ from .exceptions import (
     NotPositiveError,
     NotSelfadjointError,
 )
-from .pencil import pencil_extremes
+from .pencil import _pencil_minima, pencil_extremes
 from .superop import LRSum, LRTerm, left_blocks, selfadjoint_blocks, to_liouville
 
 __all__ = [
@@ -89,6 +90,8 @@ class ZetaCertificate:
             raise InputError("certificate needs at least one zeta")
         if any(not z > 0 for z in zetas):
             raise InputError("all zetas must be positive")
+        if not all(math.isfinite(z) for z in zetas):
+            raise InputError(f"zetas must be finite, got {list(zetas)}")
         object.__setattr__(self, "zetas", zetas)
 
 
@@ -141,11 +144,13 @@ class _Tracer:
 
 
 def _is_pd(x, tol: float) -> bool:
-    return classify_hermitian(x, tol).kind is PositivityClass.POSITIVE_DEFINITE
+    (lam,), (threshold,) = _lambda_min_stack(np.asarray(x)[None], tol)
+    return bool(lam > threshold)
 
 
 def _is_psd(x, tol: float) -> bool:
-    return classify_hermitian(x, tol).is_psd
+    (lam,), (threshold,) = _lambda_min_stack(np.asarray(x)[None], tol)
+    return bool(lam >= -threshold)
 
 
 def _lambda_min(x) -> float:
@@ -500,8 +505,8 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     # margin stage
     beta: dict[tuple[int, int], float] = {}
     right3: dict[tuple[int, int], np.ndarray] = {}
-    for nm in sorted(rest):
-        mu = pencil_extremes(rest[nm], right2).lambda_min
+    keys = sorted(rest)
+    for nm, mu in zip(keys, _pencil_minima([rest[nm] for nm in keys], right2)):
         beta[nm] = _grow_margin(
             -mu, lambda b_: _is_pd(b_ * right2 + rest[nm], tol), tracer, f"beta_{nm}"
         )
@@ -518,11 +523,8 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
 
     # lift stage
     lam: dict[tuple[int, int], float] = {}
-    for nm in sorted(rest):
-        n, mm = nm
-        if n == mm:
-            continue
-        nu = pencil_extremes(hat[nm], neg_left).lambda_min
+    off_diag = [nm for nm in keys if nm[0] != nm[1]]
+    for nm, nu in zip(off_diag, _pencil_minima([hat[nm] for nm in off_diag], neg_left)):
         lam[nm] = _grow_margin(
             -nu, lambda l_: _is_psd(hat[nm] + l_ * neg_left, tol), tracer, f"lambda_{nm}"
         )
@@ -557,6 +559,38 @@ def _check_zeta_shape(decomp: LRSum, certificate: ZetaCertificate) -> None:
         )
 
 
+def _factor_stacks(decomp: LRSum) -> tuple[np.ndarray, np.ndarray]:
+    """The left and the right factors of the non-negative terms, each as a stack."""
+    rest = decomp.terms[1:]
+    return np.stack([t.a for t in rest]), np.stack([t.b for t in rest])
+
+
+def _zeta_conditions(
+    lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, zetas: np.ndarray, tol: float,
+    a_first: bool = False,
+) -> tuple[bool, np.ndarray | None, float]:
+    """The two certificate conditions at ``zetas``: (ok, b_margins, a_margin).
+
+    ``a_n`` and ``b_n`` stack the factors of the non-negative terms.
+    b_margins holds the lambda_min of each b_n - zeta_n b_1, from one
+    stacked classifier call; a_margin that of -a_1 + sum zeta_n a_n, summed
+    in term order. With ``a_first`` the b-conditions are classified only
+    when the a-condition holds (b_margins is None otherwise); a non-finite
+    b_n - zeta_n b_1 raises InputError either way.
+    """
+    scaled = zetas[:, None, None]
+    b_diffs = b_n - scaled * lead.b
+    if not np.all(np.isfinite(b_diffs)):
+        raise InputError("T: entries must be finite")
+    combined = np.add.reduce(np.concatenate([-lead.a[None], scaled * a_n]))
+    (a_margin,), (a_threshold,) = _lambda_min_stack(combined[None], tol)
+    a_ok = bool(a_margin >= -a_threshold)
+    if a_first and not a_ok:
+        return False, None, float(a_margin)
+    b_margins, b_thresholds = _lambda_min_stack(b_diffs, tol)
+    return a_ok and bool(np.all(b_margins > b_thresholds)), b_margins, float(a_margin)
+
+
 def zeta_check(
     decomp: LRSum, certificate: ZetaCertificate, tol: float = DEFAULT_TOL
 ) -> ZetaCheckResult:
@@ -566,20 +600,10 @@ def zeta_check(
     -a_1 + sum_n zeta_n a_n is positive semidefinite, all at ``tol``.
     """
     _check_zeta_shape(decomp, certificate)
-    lead = decomp.terms[0]
-    b_margins = []
-    ok = True
-    for zeta, term in zip(certificate.zetas, decomp.terms[1:]):
-        diff = term.b - zeta * lead.b
-        rep = classify_hermitian(diff, tol)
-        b_margins.append(rep.lambda_min)
-        ok = ok and rep.is_pd
-    combined = -lead.a
-    for zeta, term in zip(certificate.zetas, decomp.terms[1:]):
-        combined = combined + zeta * term.a
-    rep = classify_hermitian(combined, tol)
-    ok = ok and rep.is_psd
-    return ZetaCheckResult(ok, tuple(b_margins), rep.lambda_min)
+    ok, b_margins, a_margin = _zeta_conditions(
+        decomp.terms[0], *_factor_stacks(decomp), np.array(certificate.zetas), tol
+    )
+    return ZetaCheckResult(ok, tuple(float(x) for x in b_margins), a_margin)
 
 
 def zeta_transform(
@@ -618,21 +642,33 @@ def find_zeta_certificate(
     condition (the left factors are PSD for decompositions produced
     here), so failure along this ray means the search family is
     exhausted; it does not prove that no certificate exists.
+
+    All bounds come from one shared-base pencil solve against b_1. At each
+    k the a-condition (one d x d matrix) is tested first and the stacked
+    b-conditions only when it holds. The result is the one a loop of
+    ``zeta_check`` over k would return.
+
+    Raises
+    ------
+    InputError
+        If ``max_halvings`` < 1 or the decomposition has the wrong shape.
     """
+    if max_halvings < 1:
+        raise InputError(f"max_halvings must be at least 1, got {max_halvings}")
     _check_zeta_shape(decomp, ZetaCertificate((1.0,) * (len(decomp.terms) - 1)))
-    lead_b = decomp.terms[0].b
-    if not _is_pd(lead_b, tol):
+    lead = decomp.terms[0]
+    if not _is_pd(lead.b, tol):
         return None
+    a_n, b_n = _factor_stacks(decomp)
     bounds = []
-    for term in decomp.terms[1:]:
-        bound = pencil_extremes(term.b, lead_b).lambda_min
+    for bound in _pencil_minima(b_n, lead.b):
         if not bound > 0:
             return None
         bounds.append(bound)
+    bounds = np.array(bounds)
     for k in range(1, max_halvings + 1):
-        shrink = 1.0 - 2.0**-k
-        candidate = ZetaCertificate(tuple(shrink * b for b in bounds))
-        if zeta_check(decomp, candidate, tol).ok:
+        candidate = ZetaCertificate(tuple((1.0 - 2.0**-k) * bounds))
+        if _zeta_conditions(lead, a_n, b_n, np.array(candidate.zetas), tol, a_first=True)[0]:
             return candidate
     return None
 

@@ -4,12 +4,21 @@ The oracles here deliberately avoid the library code paths they check:
 the Liouville oracle builds the matrix column by column from the action
 on basis matrices (no Kronecker products), the inner-product oracle is a
 double loop, and the pencil oracle goes through an explicit inverse
-square root.
+square root. The zeta references are the per-matrix certificate check and
+search that the stacked library routines must reproduce bit for bit.
 """
 
 import numpy as np
 
-from hsdecomp import LRSum, apply_superop, matrix_unit, vec
+from hsdecomp import (
+    LRSum,
+    ZetaCertificate,
+    apply_superop,
+    classify_hermitian,
+    matrix_unit,
+    pencil_extremes,
+    vec,
+)
 
 COMPLEX = np.complex128
 
@@ -128,3 +137,33 @@ def counterexample_form_oracle(t: float, eta) -> float:
     return float(
         t * (np.abs(eta) ** 2).sum() + (1 - t) * abs(eta[0, 0] + eta[1, 1]) ** 2
     )
+
+
+def zeta_check_reference(decomp, zetas, tol=1e-9):
+    """(ok, b_margins, a_margin) from one classify_hermitian call per matrix."""
+    lead, rest = decomp.terms[0], decomp.terms[1:]
+    b_reports = [classify_hermitian(t.b - z * lead.b, tol) for z, t in zip(zetas, rest)]
+    combined = -lead.a
+    for z, t in zip(zetas, rest):
+        combined = combined + z * t.a
+    a_report = classify_hermitian(combined, tol)
+    ok = all(r.is_pd for r in b_reports) and a_report.is_psd
+    return ok, tuple(r.lambda_min for r in b_reports), a_report.lambda_min
+
+
+def find_zeta_certificate_reference(decomp, tol=1e-9, max_halvings=20):
+    """The certificate search as one pencil per term and one full check per halving."""
+    lead_b = decomp.terms[0].b
+    if not classify_hermitian(lead_b, tol).is_pd:
+        return None
+    bounds = []
+    for term in decomp.terms[1:]:
+        bound = pencil_extremes(term.b, lead_b).lambda_min
+        if not bound > 0:
+            return None
+        bounds.append(bound)
+    for k in range(1, max_halvings + 1):
+        candidate = ZetaCertificate(tuple((1.0 - 2.0**-k) * b for b in bounds))
+        if zeta_check_reference(decomp, candidate.zetas, tol)[0]:
+            return candidate
+    return None

@@ -195,6 +195,18 @@ def test_zeta_transform_invalid_certificate(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "CertificateInvalidError"
 
 
+def test_zeta_check_infinite_zeta_is_input_error(capsys, monkeypatch):
+    code, out, _ = run_cli(
+        ["zeta-check", "--in", fixture("golden/pd_decompose_counterexample.json"),
+         "--zeta", "inf,1,1"],
+        None, capsys, monkeypatch,
+    )
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"] == "zetas must be finite, got [inf, 1.0, 1.0]"
+
+
 def test_counterexample(capsys, monkeypatch):
     rep = run_json(["counterexample", "--t", "0.25"], capsys, monkeypatch)
     assert rep["terms_out"]["dim"] == 2

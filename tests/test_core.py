@@ -11,7 +11,8 @@ from hsdecomp import (
     matrix_unit,
     op_norm,
 )
-from helpers import frob_inner_loops, random_matrix, random_unitary
+from hsdecomp.core import _lambda_min_stack
+from helpers import frob_inner_loops, random_matrix, random_psd, random_unitary
 
 
 def test_matrix_unit_definition():
@@ -157,3 +158,48 @@ def test_ideal_property_submultiplicative():
         a, b, eta = (random_matrix(rng, d) for _ in range(3))
         lhs = frob_norm(b @ eta @ a)
         assert lhs <= op_norm(a) * op_norm(b) * frob_norm(eta) + 1e-12
+
+
+def mixed_stack(rng, d, scale):
+    """PD, PSD-singular, indefinite, nearly Hermitian and non-Hermitian members."""
+    h = random_matrix(rng, d)
+    members = [
+        random_psd(rng, d) + 0.1 * np.eye(d),
+        random_psd(rng, d, rank=max(1, d - 1)),
+        (h + h.conj().T) / 2,
+        (h + h.conj().T) / 2 + 1e-13 * random_matrix(rng, d),
+        random_matrix(rng, d),
+        np.zeros((d, d)),
+    ]
+    return scale * np.stack(members)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_lambda_min_stack_matches_classify_bitwise(d, scale):
+    rng = np.random.default_rng(107 + d)
+    for _ in range(5):
+        stack = mixed_stack(rng, d, scale)
+        lam, threshold = _lambda_min_stack(stack, 1e-9)
+        reports = [classify_hermitian(t, 1e-9) for t in stack]
+        expected = np.array([r.lambda_min for r in reports])
+        assert lam.tobytes() == expected.tobytes()
+        rule = np.array([1e-9 * max(1.0, frob_norm(t)) for t in stack])
+        assert threshold.tobytes() == rule.tobytes()
+        assert [bool(x > t) for x, t in zip(lam, threshold)] == [r.is_pd for r in reports]
+        assert [bool(x >= -t) for x, t in zip(lam, threshold)] == [r.is_psd for r in reports]
+    if d > 1:
+        assert np.isnan(lam[4]) and not reports[4].is_hermitian
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_lambda_min_stack_rejects_non_finite(bad):
+    stack = np.stack([np.eye(2), np.eye(2)]).astype(complex)
+    stack[1, 0, 1] = bad
+    with pytest.raises(InputError, match="T: entries must be finite"):
+        _lambda_min_stack(stack, 1e-9)
+
+
+def test_lambda_min_stack_rejects_bad_tol():
+    with pytest.raises(InputError, match="tol must be positive"):
+        _lambda_min_stack(np.eye(2)[None], 0.0)

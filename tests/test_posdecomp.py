@@ -31,10 +31,12 @@ from hsdecomp import (
     zeta_check,
     zeta_transform,
 )
-from hsdecomp.posdecomp import _eps_hat_blocks
+from hsdecomp.pencil import _pencil_minima
+from hsdecomp.posdecomp import _eps_hat_blocks, _factor_stacks, _zeta_conditions
 from helpers import (
     counterexample_form_oracle,
     counterexample_liouville_oracle,
+    find_zeta_certificate_reference,
     pencil_oracle,
     random_hermitian,
     random_matrix,
@@ -44,6 +46,7 @@ from helpers import (
     random_unitary,
     rel_err,
     stacked_kernel_trivial,
+    zeta_check_reference,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -424,6 +427,125 @@ def test_zeta_search_fails_on_counterexample():
         assert find_zeta_certificate(signed) is None
 
 
+def test_zeta_certificate_rejects_non_finite():
+    with pytest.raises(InputError, match="zetas must be finite"):
+        ZetaCertificate((np.inf,))
+    with pytest.raises(InputError, match=r"zetas must be finite, got \[1.0, inf\]"):
+        ZetaCertificate((1.0, np.inf))
+    with pytest.raises(InputError):
+        ZetaCertificate((np.nan,))
+
+
+def test_zeta_search_rejects_no_halvings():
+    signed, _ = pd_decompose(identity_superop(2))
+    for bad in (0, -3):
+        with pytest.raises(InputError, match="max_halvings"):
+            find_zeta_certificate(signed, max_halvings=bad)
+    assert find_zeta_certificate(signed, max_halvings=1) is not None
+
+
+def psd_sum(rng, d, n_pairs):
+    """I (x) I plus PSD (x) PSD pairs of random rank, scaled by 1/(d+1)."""
+    pairs = [(np.eye(d), np.eye(d))]
+    for _ in range(n_pairs):
+        ra, rb = (int(r) for r in rng.integers(1, d + 1, size=2))
+        pairs.append((random_psd(rng, d, ra) / (d + 1), random_psd(rng, d, rb) / (d + 1)))
+    return LRSum.from_pairs(pairs, d)
+
+
+def a_passes_b_fails_fixture():
+    """Along the search ray the a-condition holds from k = 12 on, while
+    b_2 - zeta_2 b_1 = 2^-k 1e-6 I is below the threshold from k = 10 on."""
+    x = (1 - 2.0**-12) * (1 + 1e-6)
+    return SignedLRSum(2, (
+        SignedTerm(-1, x * I2, I2), SignedTerm(1, I2, 1e-6 * I2), SignedTerm(1, I2, I2),
+    ))
+
+
+def zeta_corpus():
+    rng = np.random.default_rng(45)
+    for d in (2, 3, 4, 5):
+        for _ in range(2):
+            h = random_hermitian(rng, d * d)
+            m = np.eye(d * d) + rng.uniform(0.02, 0.1) * h / np.linalg.norm(h)
+            yield "near-identity", pd_decompose(from_liouville(m, "left"))[0]
+        yield "psd-sum", pd_decompose(psd_sum(rng, d, d * d))[0]
+    for t in (0.1, 0.25, 0.4):
+        yield "counterexample", pd_decompose(counterexample_superop(t))[0]
+    yield "a-passes-b-fails", a_passes_b_fails_fixture()
+
+
+def test_zeta_search_matches_reference():
+    outcomes = {}
+    for label, signed in zeta_corpus():
+        for halvings in (1, 5, 20):
+            cert = find_zeta_certificate(signed, max_halvings=halvings)
+            ref = find_zeta_certificate_reference(signed, max_halvings=halvings)
+            assert (cert is None) == (ref is None), label
+            if cert is not None:
+                assert np.array(cert.zetas).tobytes() == np.array(ref.zetas).tobytes()
+        outcomes.setdefault(label, []).append(cert is not None)
+    assert all(outcomes["near-identity"])
+    assert not any(outcomes["counterexample"] + outcomes["psd-sum"][1:])
+    assert outcomes["a-passes-b-fails"] == [False]
+
+
+def test_a_passes_b_fails_fixture_exercises_both_branches():
+    signed = a_passes_b_fails_fixture()
+    zetas = tuple((1 - 2.0**-12) * b for b in (1e-6, 1.0))
+    ok, b_margins, a_margin = zeta_check_reference(signed, zetas)
+    assert a_margin >= 0 and b_margins[0] > 0 and not ok
+
+
+def test_zeta_check_matches_reference_bitwise():
+    rng = np.random.default_rng(46)
+    for label, signed in zeta_corpus():
+        lead = signed.terms[0]
+        bounds = np.array([pencil_extremes(t.b, lead.b).lambda_min for t in signed.terms[1:]])
+        for zetas in (0.5 * bounds, 0.999 * bounds, 1.5 * bounds,
+                      rng.uniform(0.01, 2.0, len(bounds))):
+            zetas = np.where(zetas > 0, zetas, 1e-3)
+            res = zeta_check(signed, ZetaCertificate(tuple(zetas)))
+            ok, b_margins, a_margin = zeta_check_reference(signed, zetas)
+            assert res.ok == ok, label
+            assert np.array(res.b_margins).tobytes() == np.array(b_margins).tobytes()
+            assert np.float64(res.a_margin).tobytes() == np.float64(a_margin).tobytes()
+
+
+def test_non_finite_zeta_difference_is_input_error():
+    # the a-condition fails here (-a_1 + zeta * 0 = -I), and the search's
+    # a-first order must still report the overflowed b_2 - zeta b_1
+    decomp = SignedLRSum(2, (SignedTerm(-1, I2, 10 * I2), SignedTerm(1, 0 * I2, I2)))
+    a_n, b_n = _factor_stacks(decomp)
+    with np.errstate(over="ignore"):
+        with pytest.raises(InputError, match="T: entries must be finite"):
+            zeta_check(decomp, ZetaCertificate((1e308,)))
+        with pytest.raises(InputError, match="T: entries must be finite"):
+            _zeta_conditions(decomp.terms[0], a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
+
+
+def test_zeta_search_work_counts(monkeypatch):
+    """Counts, not wall time: a search with no certificate makes at most
+    2 eigh calls per halving plus 2, and factors the base b_1 once."""
+    signed, _ = pd_decompose(psd_sum(np.random.default_rng(47), 4, 16))
+    counts = {"eigh": 0, "cholesky": 0}
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    max_halvings = 20
+    assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
+    assert counts["eigh"] <= 2 * max_halvings + 2
+    assert counts["cholesky"] == 1
+
+
 # ---------------------------------------------------------------- counterexample
 
 
@@ -536,6 +658,37 @@ def test_pencil_rejects_singular_or_indefinite_base(c):
         pencil_eigh(np.eye(len(c)), c)
     with pytest.raises(NumericalError, match="^pencil base matrix is"):
         pencil_extremes(np.eye(len(c)), c)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_pencil_minima_match_pencil_extremes_bitwise(d, scale):
+    rng = np.random.default_rng(48 + d)
+    c = scale * random_pd(rng, d)
+    bs = [scale * random_hermitian(rng, d) for _ in range(6)] + [random_matrix(rng, d)]
+    got = np.array(list(_pencil_minima(np.stack(bs), c)))
+    expected = np.array([pencil_extremes(b, c).lambda_min for b in bs])
+    assert got.tobytes() == expected.tobytes()
+    assert list(_pencil_minima([], c)) == []
+
+
+@pytest.mark.parametrize("c", [
+    np.zeros((2, 2)),
+    np.diag([1.0, 0.0]),
+    np.diag([1.0, -1.0]),
+    np.diag([1.0, 1e-320]),
+])
+def test_pencil_minima_reject_singular_or_indefinite_base(c):
+    with pytest.raises(NumericalError, match="^pencil base matrix is"):
+        list(_pencil_minima(np.stack([np.eye(2), 2 * np.eye(2)]), c))
+
+
+def test_pencil_minima_raise_at_the_failing_pencil():
+    c = np.diag([1.0, 1e-300])
+    minima = _pencil_minima(np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 1e10])]), c)
+    assert next(minima) == pencil_extremes(np.diag([1.0, 0.0]), c).lambda_min
+    with pytest.raises(NumericalError, match="overflowed"):
+        next(minima)
 
 
 def test_pencil_extremes_witnesses_match_pencil_eigh():
