@@ -91,6 +91,17 @@ def hermitian_unit(dim: int, n: int, m: int) -> np.ndarray:
     return (0.5 + 0.5j) * matrix_unit(dim, n, m) + (0.5 - 0.5j) * matrix_unit(dim, m, n)
 
 
+def _matrix_units(dim: int) -> np.ndarray:
+    """Every ``matrix_unit(dim, n, m)`` in a (dim², dim, dim) stack, at k = (n-1)*dim + (m-1)."""
+    return np.eye(dim * dim, dtype=_COMPLEX).reshape(dim * dim, dim, dim)
+
+
+def _hermitian_units(dim: int) -> np.ndarray:
+    """Every ``hermitian_unit(dim, n, m)``, stacked like ``_matrix_units``, by its arithmetic."""
+    e = _matrix_units(dim)
+    return (0.5 + 0.5j) * e + (0.5 - 0.5j) * e.transpose(0, 2, 1)
+
+
 def frob_inner(eta, tau) -> complex:
     """Trace inner product tr(eta* tau), conjugate-linear in ``eta``."""
     eta = as_square_matrix(eta, "eta")

@@ -25,12 +25,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    _hermitian_units,
     _lambda_min_stack,
     as_square_matrix,
     classify_hermitian,
     frob_norm,
     hermitian_part,
-    hermitian_unit,
     matrix_unit,
     skew_part,
 )
@@ -143,14 +143,14 @@ class _Tracer:
         return DecompositionTrace(tuple(self._steps))
 
 
+def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
+    """Whether each matrix of a stack is positive definite (``strict``) or semidefinite."""
+    lam, threshold = _lambda_min_stack(stack, tol)
+    return lam > threshold if strict else lam >= -threshold
+
+
 def _is_pd(x, tol: float) -> bool:
-    (lam,), (threshold,) = _lambda_min_stack(np.asarray(x)[None], tol)
-    return bool(lam > threshold)
-
-
-def _is_psd(x, tol: float) -> bool:
-    (lam,), (threshold,) = _lambda_min_stack(np.asarray(x)[None], tol)
-    return bool(lam >= -threshold)
+    return bool(_positive(np.asarray(x)[None], tol)[0])
 
 
 def _lambda_min(x) -> float:
@@ -196,18 +196,33 @@ def _shrink_offset(t0: float, conditions, tracer: _Tracer, label: str) -> tuple[
             )
 
 
-def _grow_margin(required: float, predicate, tracer: _Tracer, label: str) -> float:
-    """Minimal feasible scalar (from a pencil bound) doubled, grown further if needed."""
-    value = 2.0 * max(0.0, required)
-    if predicate(value):
-        return value
-    bump = max(1.0, abs(required))
-    for _ in range(64):
-        value = 2.0 * value + bump
-        if predicate(value):
-            return value
-    tracer.add(label, required=required, failed=True)
-    raise NoProgressError(f"{label}: margin search stalled", trace=tracer.freeze())
+def _grow_margins(required: np.ndarray, base: np.ndarray, offsets: np.ndarray, strict: bool,
+                  tol: float, tracer: _Tracer, labels: list[str]) -> np.ndarray:
+    """Scalars v_i making v_i * base + offsets[i] positive definite (``strict``) or semidefinite.
+
+    Each v_i starts at the minimal pencil-feasible value doubled, 2 max(0, required_i); one
+    stacked classifier call tests all of them. Each entry that fails, in index order, grows by
+    v -> 2 v + max(1, |required_i|) up to 64 times; a stall is traced as failed and raises
+    NoProgressError named ``labels[i]``.
+    """
+    values = 2.0 * np.maximum(0.0, required)
+    if not values.size:
+        return values
+    for i in np.flatnonzero(~_positive(values[:, None, None] * base + offsets, tol, strict)):
+        bump = max(1.0, abs(required[i]))
+        for _ in range(64):
+            values[i] = 2.0 * values[i] + bump
+            if _positive((values[i] * base + offsets[i])[None], tol, strict)[0]:
+                break
+        else:
+            tracer.add(labels[i], required=float(required[i]), failed=True)
+            raise NoProgressError(f"{labels[i]}: margin search stalled", trace=tracer.freeze())
+    return values
+
+
+def _sum_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """first + terms[0] + terms[1] + ..., added left to right as a loop would."""
+    return np.add.reduce(np.concatenate([first[None], terms]))
 
 
 def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, DecompositionTrace]:
@@ -353,7 +368,7 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
 
     # stage 3: mirrored fix of the remaining left factor
     (p1, q1), (p2, q2) = terms
-    if _is_psd(p2, tol):
+    if _positive(p2[None], tol, strict=False)[0]:
         tracer.add("left_stage_skipped", reason="second left factor already PSD")
     else:
         w, v = np.linalg.eigh(hermitian_part(q2))
@@ -392,15 +407,7 @@ def diag_blocks(s: LRSum, tol: float = DEFAULT_TOL) -> list[tuple[np.ndarray, An
     report = classify_hermitian(m, tol)
     if not report.is_hermitian:
         raise NotSelfadjointError("superoperator is not selfadjoint")
-    blocks = left_blocks(m)
-    out = []
-    for n in range(s.dim):
-        block = np.ascontiguousarray(blocks[n, n])
-        out.append((block, classify_hermitian(block, tol)))
-    return out
-
-
-_eps_hat_blocks = selfadjoint_blocks  # former name of the shared helper
+    return [(block, classify_hermitian(block, tol)) for block in left_blocks(m)[:: s.dim + 1]]
 
 
 def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, DecompositionTrace]:
@@ -427,6 +434,10 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     4. Lift stage: scalars lambda_nm make each off-diagonal Hermitian
        basis element plus lambda times the negative term's left factor
        positive semidefinite, absorbing the indefiniteness.
+
+    Stages 3 and 4 test the first candidates of all their scalars with one
+    stacked classifier call each and grow only those that fail. Blocks and
+    factors are (k, d, d) stacks, k = n*d + m; the trace keys them by (n, m).
 
     Raises
     ------
@@ -457,21 +468,25 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
         tracer.add("scalar_case", value=c)
         return signed, tracer.freeze()
 
-    blocks = selfadjoint_blocks(m, d)
-    diag1 = blocks[(0, 0)]
-    diag2 = blocks[(1, 1)]
-    others = [(n, mm) for n in range(d) for mm in range(d) if (n, mm) not in ((0, 0), (1, 1))]
+    # basis stage: block k = n*d + m pairs with the Hermitian unit hat[k]
+    blocks = selfadjoint_blocks(m)
+    hat = _hermitian_units(d)
+    diag1, diag2 = blocks[0], blocks[d + 1]
+    others = np.delete(np.arange(d * d), [0, d + 1])
+
+    def pairs(ks) -> list[tuple[int, int]]:
+        return [divmod(int(k), d) for k in ks]
 
     # pencil stage
     pen = pencil_extremes(diag2, diag1)
     t0 = pen.lambda_min
     f = pen.v_min
-    gamma = {nm: complex(f.conj() @ blocks[nm] @ f) for nm in others}
+    # one vector dot per block, as f* B f is computed for a single block
+    gamma = ((f.conj() @ blocks[others])[:, None, :] @ f)[:, 0]
     gamma11 = complex(f.conj() @ diag1 @ f).real
     e11 = matrix_unit(d, 1, 1)
     e22 = matrix_unit(d, 2, 2)
-    hat = {nm: hermitian_unit(d, nm[0] + 1, nm[1] + 1) for nm in others}
-    gamma_tail = sum(gamma[nm].real * hat[nm] for nm in others)
+    gamma_tail = np.add.reduce(gamma.real[:, None, None] * hat[others])
 
     def stage2_ok(t_: float) -> bool:
         left = gamma11 * (e11 + t_ * e22) + gamma_tail
@@ -489,60 +504,43 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
         shrinks=shrinks,
         f=f,
         gamma11=gamma11,
-        gamma={nm: gamma[nm] for nm in others},
+        gamma=dict(zip(pairs(others), gamma.tolist())),
     )
 
+    # the ratios are divided as Python complex scalars, whose rounding differs from numpy's
+    ratios = np.array([g / gamma11 for g in gamma.tolist()])
+    rest = blocks[others] - ratios[:, None, None] * diag1
     drop_threshold = 1e-13 * max(1.0, frob_norm(m))
-    rest: dict[tuple[int, int], np.ndarray] = {}
-    dropped = []
-    for nm in others:
-        r = blocks[nm] - (gamma[nm] / gamma11) * diag1
-        if frob_norm(r) > drop_threshold:
-            rest[nm] = r
-        else:
-            dropped.append(nm)
+    keep = np.array([frob_norm(r) > drop_threshold for r in rest], dtype=bool)
+    rest, kept = rest[keep], others[keep]
 
-    # margin stage
-    beta: dict[tuple[int, int], float] = {}
-    right3: dict[tuple[int, int], np.ndarray] = {}
-    keys = sorted(rest)
-    for nm, mu in zip(keys, _pencil_minima([rest[nm] for nm in keys], right2)):
-        beta[nm] = _grow_margin(
-            -mu, lambda b_: _is_pd(b_ * right2 + rest[nm], tol), tracer, f"beta_{nm}"
-        )
-        right3[nm] = beta[nm] * right2 + rest[nm]
-    left2 = e22.copy()
-    for nm in sorted(rest):
-        left2 = left2 - beta[nm] * hat[nm]
-    alpha_req = pencil_extremes(left2, left_comb).lambda_max
-    alpha = _grow_margin(
-        alpha_req, lambda a_: _is_pd(a_ * left_comb - left2, tol), tracer, "alpha"
+    # margin stage: stacked first checks for all beta, then alpha
+    mu = np.fromiter(_pencil_minima(rest, right2), float, len(rest))
+    beta = _grow_margins(-mu, right2, rest, True, tol, tracer, [f"beta_{p}" for p in pairs(kept)])
+    right3 = beta[:, None, None] * right2 + rest
+    left2 = _sum_in_order(e22, -(beta[:, None, None] * hat[kept]))
+    alpha_req = np.array([pencil_extremes(left2, left_comb).lambda_max])
+    alpha = float(
+        _grow_margins(alpha_req, left_comb, -left2[None], True, tol, tracer, ["alpha"])[0]
     )
     neg_left = alpha * left_comb - left2
-    tracer.add("margins", beta=dict(beta), alpha=alpha, dropped=list(dropped))
+    tracer.add("margins", beta=dict(zip(pairs(kept), beta.tolist())), alpha=alpha,
+               dropped=pairs(others[~keep]))
 
-    # lift stage
-    lam: dict[tuple[int, int], float] = {}
-    off_diag = [nm for nm in keys if nm[0] != nm[1]]
-    for nm, nu in zip(off_diag, _pencil_minima([hat[nm] for nm in off_diag], neg_left)):
-        lam[nm] = _grow_margin(
-            -nu, lambda l_: _is_psd(hat[nm] + l_ * neg_left, tol), tracer, f"lambda_{nm}"
-        )
-    tracer.add("lifts", lam=dict(lam))
+    # lift stage: stacked first checks for all off-diagonal lambda
+    off = kept // d != kept % d
+    lifted = kept[off]
+    nu = np.fromiter(_pencil_minima(hat[lifted], neg_left), float, len(lifted))
+    lam = _grow_margins(
+        -nu, neg_left, hat[lifted], False, tol, tracer, [f"lambda_{p}" for p in pairs(lifted)]
+    )
+    tracer.add("lifts", lam=dict(zip(pairs(lifted), lam.tolist())))
 
-    neg_right = right2.copy()
-    for nm in sorted(lam):
-        neg_right = neg_right + lam[nm] * right3[nm]
-    out = [
-        LRTerm(neg_left, neg_right, -1),
-        LRTerm(left_comb, right1 + alpha * right2),
-    ]
-    for nm in sorted(rest):
-        n, mm = nm
-        if n != mm:
-            out.append(LRTerm(hat[nm] + lam[nm] * neg_left, right3[nm]))
-        else:
-            out.append(LRTerm(matrix_unit(d, n + 1, n + 1), right3[nm]))
+    neg_right = _sum_in_order(right2, lam[:, None, None] * right3[off])
+    lefts = hat[kept]  # a diagonal Hermitian unit is the matrix unit E_nn
+    lefts[off] += lam[:, None, None] * neg_left
+    out = [LRTerm(neg_left, neg_right, -1), LRTerm(left_comb, right1 + alpha * right2)]
+    out += [LRTerm(a, b) for a, b in zip(lefts, right3)]
     return LRSum(d, tuple(out)), tracer.freeze()
 
 
@@ -565,6 +563,13 @@ def _factor_stacks(decomp: LRSum) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([t.a for t in rest]), np.stack([t.b for t in rest])
 
 
+def _zeta_rewrite(lead: LRTerm, a_n, b_n, zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors a certificate rewrites: -a_1 + sum zeta_n a_n, summed in
+    term order, and the stack of b_n - zeta_n b_1."""
+    scaled = zetas[:, None, None]
+    return _sum_in_order(-lead.a, scaled * a_n), b_n - scaled * lead.b
+
+
 def _zeta_conditions(
     lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, zetas: np.ndarray, tol: float,
     a_first: bool = False,
@@ -578,11 +583,9 @@ def _zeta_conditions(
     when the a-condition holds (b_margins is None otherwise); a non-finite
     b_n - zeta_n b_1 raises InputError either way.
     """
-    scaled = zetas[:, None, None]
-    b_diffs = b_n - scaled * lead.b
+    combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
     if not np.all(np.isfinite(b_diffs)):
         raise InputError("T: entries must be finite")
-    combined = np.add.reduce(np.concatenate([-lead.a[None], scaled * a_n]))
     (a_margin,), (a_threshold,) = _lambda_min_stack(combined[None], tol)
     a_ok = bool(a_margin >= -a_threshold)
     if a_first and not a_ok:
@@ -619,15 +622,9 @@ def zeta_transform(
     if not result.ok:
         raise CertificateInvalidError("zeta certificate failed validation", report=result)
     lead = decomp.terms[0]
-    combined = -lead.a
-    for zeta, term in zip(certificate.zetas, decomp.terms[1:]):
-        combined = combined + zeta * term.a
-    pairs = [(combined, lead.b)]
-    pairs += [
-        (term.a, term.b - zeta * lead.b)
-        for zeta, term in zip(certificate.zetas, decomp.terms[1:])
-    ]
-    return LRSum.from_pairs(pairs, decomp.dim)
+    a_n, b_n = _factor_stacks(decomp)
+    combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, np.array(certificate.zetas))
+    return LRSum.from_pairs([(combined, lead.b), *zip(a_n, b_diffs)], decomp.dim)
 
 
 def find_zeta_certificate(

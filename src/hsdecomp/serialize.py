@@ -36,7 +36,7 @@ __all__ = [
 
 def matrix_to_rows(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _entry_to_complex(entry, where: str) -> complex:
@@ -97,12 +97,7 @@ def obj_to_operator(obj) -> LRSum:
         a = rows_to_matrix(term["a"], dim, f"term {i} 'a'")
         b = rows_to_matrix(term["b"], dim, f"term {i} 'b'")
         parsed.append((sign, a, b))
-    try:
-        return LRSum(dim, tuple(LRTerm(a, b, sign) for sign, a, b in parsed))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return LRSum(dim, tuple(LRTerm(a, b, sign) for sign, a, b in parsed))
 
 
 def jsonify(x) -> Any:

@@ -28,11 +28,11 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     PositivityReport,
+    _hermitian_units,
+    _matrix_units,
     as_square_matrix,
     classify_hermitian,
     frob_norm,
-    hermitian_unit,
-    matrix_unit,
 )
 from .exceptions import InputError, NotSelfadjointError
 
@@ -206,44 +206,42 @@ def from_liouville(m, variant: str = "left") -> LRSum:
     d = _liouville_dim(m)
     if variant not in ("left", "right"):
         raise InputError(f"variant must be 'left' or 'right', got {variant!r}")
-    r = m.reshape(d, d, d, d)
-    if variant == "left":
-        # block[n, m][j, k] = M[k*d + n, j*d + m]
-        blocks = r.transpose(1, 3, 2, 0)
-    else:
-        # block[n, m][j, k] = M[m*d + j, n*d + k]
-        blocks = r.transpose(2, 0, 1, 3)
-    terms = []
-    for n in range(d):
-        for mm in range(d):
-            coeff = np.ascontiguousarray(blocks[n, mm])
-            if not coeff.any():
-                continue
-            eps = matrix_unit(d, n + 1, mm + 1)
-            terms.append(LRTerm(eps, coeff) if variant == "left" else LRTerm(coeff, eps))
+    blocks = left_blocks(m)
+    if variant == "right":
+        # the right-variant block (n, m) collects entry (n, m) of every left-variant block
+        blocks = blocks.reshape(d, d, d, d).transpose(2, 3, 0, 1).reshape(d * d, d, d)
+    terms = [
+        LRTerm(eps, coeff) if variant == "left" else LRTerm(coeff, eps)
+        for eps, coeff in zip(_matrix_units(d), blocks)
+        if coeff.any()
+    ]
     return LRSum(d, tuple(terms))
 
 
 def left_blocks(m) -> np.ndarray:
-    """The d x d x d x d coefficient tensor of the left-variant decomposition."""
+    """The left-variant coefficient blocks a_nm[j, k] = M[k*d + n, j*d + m] as a
+    (d², d, d) stack, entry k = n*d + m (0-based pairs in row-major order).
+
+    Each block is a column-major view of the stored transposes: the rounding
+    of vector products such as f* a_nm f, and so of ``pd_decompose``, depends
+    on that layout.
+    """
     m = as_square_matrix(m, "liouville")
     d = _liouville_dim(m)
-    return m.reshape(d, d, d, d).transpose(1, 3, 2, 0)
+    return m.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d, d).transpose(0, 2, 1)
 
 
-def selfadjoint_blocks(m: np.ndarray, d: int) -> dict[tuple[int, int], np.ndarray]:
+def selfadjoint_blocks(m) -> np.ndarray:
     """Right factors ((1-i)/2) a_nm + ((1+i)/2) a_mn of the selfadjoint basis
-    decomposition, keyed by the 0-based basis pair (n, m).
+    decomposition, a (d², d, d) stack indexed and laid out like :func:`left_blocks`.
 
-    ``a_nm`` are the left-variant coefficient blocks of the Liouville matrix
-    ``m``; each right factor pairs with the Hermitian basis element (n, m).
+    ``a_nm`` are the left-variant blocks of the Liouville matrix ``m``; entry
+    k = n*d + m pairs with the Hermitian basis element (n, m).
     """
-    blocks = left_blocks(m)
-    return {
-        (n, mm): (0.5 - 0.5j) * blocks[n, mm] + (0.5 + 0.5j) * blocks[mm, n]
-        for n in range(d)
-        for mm in range(d)
-    }
+    blocks_t = left_blocks(m).transpose(0, 2, 1)
+    d = blocks_t.shape[1]
+    swapped_t = blocks_t.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d, d)
+    return ((0.5 - 0.5j) * blocks_t + (0.5 + 0.5j) * swapped_t).transpose(0, 2, 1)
 
 
 def adjoint(s: LRSum) -> LRSum:
@@ -304,6 +302,21 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     return kept, coeffs
 
 
+def _fold_dependent(family: list, partners: list, tol: float) -> tuple[list, list]:
+    """Keep a maximal independent subset of ``family``; fold the rest into ``partners``.
+
+    A dependent member's partner, times each coefficient of its expansion
+    over the kept members, is added to their partners, which preserves the
+    sum over the pairs. Returns the kept members and their new partners.
+    """
+    kept, coeffs = _independent_subset([vec(x) for x in family], tol)
+    folded = {i: np.array(partners[i]) for i in kept}
+    for j, sol in coeffs.items():
+        for c, i in zip(sol, kept):
+            folded[i] = folded[i] + c * partners[j]
+    return [family[i] for i in kept], [folded[i] for i in kept]
+
+
 def reduce_terms(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     """Rewrite an LR-sum so both factor families are linearly independent.
 
@@ -317,26 +330,10 @@ def reduce_terms(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     """
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    terms = list(s.as_lrsum().terms)
-    if not terms:
-        return s
-
-    kept, coeffs = _independent_subset([vec(t.a) for t in terms], tol)
-    new_b = {i: np.array(terms[i].b) for i in kept}
-    for j, sol in coeffs.items():
-        for c, i in zip(sol, kept):
-            new_b[i] = new_b[i] + c * terms[j].b
-    terms = [LRTerm(terms[i].a, new_b[i]) for i in kept]
-    if not terms:
-        return LRSum(s.dim, ())
-
-    kept, coeffs = _independent_subset([vec(t.b) for t in terms], tol)
-    new_a = {i: np.array(terms[i].a) for i in kept}
-    for j, sol in coeffs.items():
-        for c, i in zip(sol, kept):
-            new_a[i] = new_a[i] + c * terms[j].a
-    terms = [LRTerm(new_a[i], terms[i].b) for i in kept]
-    return LRSum(s.dim, tuple(terms))
+    terms = s.as_lrsum().terms
+    a, b = _fold_dependent([t.a for t in terms], [t.b for t in terms], tol)
+    b, a = _fold_dependent(b, a, tol)
+    return LRSum(s.dim, tuple(LRTerm(x, y) for x, y in zip(a, b)))
 
 
 def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
@@ -362,13 +359,12 @@ def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
             f"Liouville matrix is not Hermitian: defect {defect:.3e} "
             f"exceeds tol * norm = {tol * frob_norm(m):.3e}"
         )
-    d = s.dim
     terms = [
-        LRTerm(hermitian_unit(d, n + 1, mm + 1), right)
-        for (n, mm), right in selfadjoint_blocks(m, d).items()
+        LRTerm(hat, right)
+        for hat, right in zip(_hermitian_units(s.dim), selfadjoint_blocks(m))
         if right.any()
     ]
-    return LRSum(d, tuple(terms))
+    return LRSum(s.dim, tuple(terms))
 
 
 def classify_superop(s: LRSum, tol: float = DEFAULT_TOL) -> PositivityReport:

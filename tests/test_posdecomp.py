@@ -5,6 +5,7 @@ from hsdecomp import (
     CertificateInvalidError,
     InputError,
     LRSum,
+    NoProgressError,
     NotPositiveDefiniteError,
     NotPositiveError,
     NotSelfadjointError,
@@ -32,7 +33,8 @@ from hsdecomp import (
     zeta_transform,
 )
 from hsdecomp.pencil import _pencil_minima
-from hsdecomp.posdecomp import _eps_hat_blocks, _factor_stacks, _zeta_conditions
+from hsdecomp.posdecomp import _Tracer, _factor_stacks, _grow_margins, _zeta_conditions
+from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
     counterexample_form_oracle,
     counterexample_liouville_oracle,
@@ -306,7 +308,8 @@ def test_pd_decompose_trace_replay():
     m = random_pd_liouville(rng, d)
     s = from_liouville(m, "left")
     signed, trace = pd_decompose(s)
-    blocks = _eps_hat_blocks(to_liouville(s), d)
+    stack = selfadjoint_blocks(to_liouville(s))
+    blocks = {divmod(k, d): stack[k] for k in range(d * d)}
     pen = trace.step("diag_pencil").data
     margins = trace.step("margins").data
     lifts = trace.step("lifts").data
@@ -348,6 +351,39 @@ def test_pd_decompose_trace_replay():
 
 def scalar_fixture():
     return SignedLRSum(2, (SignedTerm(-1, I2, I2), SignedTerm(1, 3 * I2, 2 * I2)))
+
+
+def test_grow_margins_first_checks_are_stacked_then_grown_in_order(monkeypatch):
+    base = np.eye(2)
+    offsets = np.array([np.diag([-3.0, 1.0]), np.diag([1.0, 1.0]), np.diag([-3.0, 1.0])])
+    required = np.array([0.5, 5.0, -2.0])
+    labels = ["first", "second", "third"]
+    counts = count_linalg(monkeypatch, "eigh")
+    # entry 0 starts at 1 and fails; v -> 2v + 1 gives 3, where diag(0, 4) is PSD but not PD,
+    # then 7. Entry 1 holds at 10. Entry 2 starts at 0 and grows by 2v + 2: 2 fails, 6 holds.
+    values = _grow_margins(required, base, offsets, True, 1e-9, _Tracer(), labels)
+    assert values.tolist() == [7.0, 10.0, 6.0]
+    assert counts["eigh"] == 1 + 2 + 2
+    values = _grow_margins(required, base, offsets, False, 1e-9, _Tracer(), labels)
+    assert values.tolist() == [3.0, 10.0, 6.0]
+    assert _grow_margins(np.zeros(0), base, offsets[:0], True, 1e-9, _Tracer(), []).size == 0
+
+
+def test_grow_margins_stall_raises_with_label_and_failed_step():
+    base = np.diag([1.0, -1.0])
+    # the first entry grows and passes at 3; v * base + 0 is never PSD, so the second stalls
+    # (and the third would)
+    offsets = np.array([np.diag([-3.0, 100.0]), np.zeros((2, 2)), np.zeros((2, 2))])
+    tracer = _Tracer()
+    tracer.add("before")
+    with pytest.raises(NoProgressError, match=r"^lambda_\(0, 1\): margin search stalled$") as info:
+        _grow_margins(np.array([0.5, 0.25, 0.0]), base, offsets, False, 1e-9, tracer,
+                      ["lambda_(0, 0)", "lambda_(0, 1)", "lambda_(1, 0)"])
+    steps = info.value.trace.steps
+    assert [s.name for s in steps] == ["before", "lambda_(0, 1)"]
+    assert steps[-1].data == {"required": 0.25, "failed": True}
+    assert type(steps[-1].data["required"]) is float
+    assert isinstance(info.value, NumericalError)
 
 
 def test_zeta_check_degenerate_negative_term():
@@ -524,11 +560,9 @@ def test_non_finite_zeta_difference_is_input_error():
             _zeta_conditions(decomp.terms[0], a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
 
 
-def test_zeta_search_work_counts(monkeypatch):
-    """Counts, not wall time: a search with no certificate makes at most
-    2 eigh calls per halving plus 2, and factors the base b_1 once."""
-    signed, _ = pd_decompose(psd_sum(np.random.default_rng(47), 4, 16))
-    counts = {"eigh": 0, "cholesky": 0}
+def count_linalg(monkeypatch, *names):
+    """Count the calls of the named numpy.linalg functions; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
 
     def counting(name):
         fn = getattr(np.linalg, name)
@@ -538,12 +572,37 @@ def test_zeta_search_work_counts(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in counts:
+    for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
+    return counts
+
+
+def test_zeta_search_work_counts(monkeypatch):
+    """Counts, not wall time: a search with no certificate makes at most
+    2 eigh calls per halving plus 2, and factors the base b_1 once."""
+    signed, _ = pd_decompose(psd_sum(np.random.default_rng(47), 4, 16))
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
     max_halvings = 20
     assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
     assert counts["eigh"] <= 2 * max_halvings + 2
     assert counts["cholesky"] == 1
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_pd_decompose_work_counts(monkeypatch, d):
+    """Counts, not wall time: the eigh calls of pd_decompose do not grow with
+    the d^2 basis pairs. One classifies the input, one solves the diagonal
+    pencil, each offset try makes at most two, and the margin and lift
+    stages make two each for beta, alpha and lambda (a pencil solve and a
+    stacked check), when no first candidate needs growing."""
+    s = psd_sum(np.random.default_rng(48), d, d * d)
+    counts = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    signed, trace = pd_decompose(s)
+    made = dict(counts)
+    check_pd_output(signed, to_liouville(s))
+    shrinks = trace.step("diag_pencil").data["shrinks"]
+    assert made["eigh"] <= 10 + 2 * shrinks
+    assert made["eigvalsh"] == 0
 
 
 # ---------------------------------------------------------------- counterexample
