@@ -128,8 +128,9 @@ def hermitian_part(t) -> np.ndarray:
 
 
 def skew_part(t) -> np.ndarray:
+    """(T - T*)/2, of a matrix or of each matrix in a stack."""
     t = np.asarray(t, dtype=_COMPLEX)
-    return (t - t.conj().T) / 2
+    return (t - t.conj().swapaxes(-1, -2)) / 2
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
@@ -209,7 +210,8 @@ def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=_COMPLEX)
     if not np.all(np.isfinite(ts)):
         raise InputError("T: entries must be finite")
-    non_hermitian, threshold = (np.array(x) for x in zip(*(_tolerance_rule(t, tol) for t in ts)))
+    rules = np.array([_tolerance_rule(t, tol) for t in ts]).reshape(len(ts), 2)
+    non_hermitian, threshold = rules[:, 0] > 0, rules[:, 1]
     lam = np.linalg.eigh(hermitian_part(ts))[0][:, 0]
     return np.where(non_hermitian, math.nan, lam), threshold
 

@@ -206,8 +206,6 @@ def _grow_margins(required: np.ndarray, base: np.ndarray, offsets: np.ndarray, s
     NoProgressError named ``labels[i]``.
     """
     values = 2.0 * np.maximum(0.0, required)
-    if not values.size:
-        return values
     for i in np.flatnonzero(~_positive(values[:, None, None] * base + offsets, tol, strict)):
         bump = max(1.0, abs(required[i]))
         for _ in range(64):

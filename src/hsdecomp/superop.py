@@ -269,36 +269,45 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     """Greedy maximal independent subset with singular-value rank decisions.
 
     Returns (kept_indices, coefficients) where ``coefficients[j]`` expands
-    a dependent column j over the kept ones. Thresholds are absolute at
-    tol * (largest singular value of the full stack). Once the kept columns
-    span the whole space every further column is dependent; the SVD of a
-    wider trial would not show it, as it has only row-count singular values.
+    a dependent column j over the columns kept before it (``lstsq``). In
+    input order, a column is kept if its norm (while none is kept), or
+    sigma_min of the kept columns plus it, exceeds tol * (largest singular
+    value of the full stack). Once the kept columns span the whole space
+    every further column is dependent.
+
+    The tests run on galloping blocks of the next columns, clipped to the
+    columns and rows left. Adding a column cannot raise sigma_min while
+    columns <= rows (singular-value interlacing), so a passing block is
+    kept whole and doubles; a failing block halves, and a failing single
+    column is rejected on the very matrix the one-column test uses.
     """
     if not columns:
         return [], {}
     stack = np.column_stack(columns)
-    svals = np.linalg.svd(stack, compute_uv=False)
-    smax = float(svals[0]) if svals.size else 0.0
-    threshold = tol * smax
+    rows, ncols = stack.shape
+    threshold = tol * float(np.linalg.svd(stack, compute_uv=False)[0])
     kept: list[int] = []
     coeffs: dict[int, np.ndarray] = {}
-    for j in range(stack.shape[1]):
-        if smax == 0.0:
-            coeffs[j] = np.zeros(0, dtype=_COMPLEX)
-            continue
+    j, size = 0, 1
+    while j < ncols:
         if not kept:
             if np.linalg.norm(stack[:, j]) > threshold:
-                kept.append(j)
+                kept, size = [j], 2
             else:
                 coeffs[j] = np.zeros(0, dtype=_COMPLEX)
+            j += 1
             continue
-        if len(kept) < stack.shape[0] and (
-            np.linalg.svd(stack[:, kept + [j]], compute_uv=False)[-1] > threshold
-        ):
-            kept.append(j)
+        size = min(size, ncols - j, rows - len(kept))
+        block = list(range(j, j + size))
+        if size and np.linalg.svd(stack[:, kept + block], compute_uv=False)[-1] > threshold:
+            kept += block
+            j += size
+            size *= 2
+        elif size > 1:
+            size //= 2
         else:
-            sol, *_ = np.linalg.lstsq(stack[:, kept], stack[:, j], rcond=None)
-            coeffs[j] = sol
+            coeffs[j], *_ = np.linalg.lstsq(stack[:, kept], stack[:, j], rcond=None)
+            j += 1
     return kept, coeffs
 
 

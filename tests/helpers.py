@@ -5,7 +5,8 @@ the Liouville oracle builds the matrix column by column from the action
 on basis matrices (no Kronecker products), the inner-product oracle is a
 double loop, and the pencil oracle goes through an explicit inverse
 square root. The zeta references are the per-matrix certificate check and
-search that the stacked library routines must reproduce bit for bit.
+search, and the independent-subset reference is the one-SVD-per-column rank
+test, that the library routines must reproduce bit for bit.
 """
 
 import numpy as np
@@ -45,6 +46,15 @@ def random_psd(rng, d, rank=None):
 
 def random_pd(rng, d, floor=0.2):
     return random_psd(rng, d) / d + floor * np.eye(d)
+
+
+def psd_sum(rng, d, n_pairs):
+    """I (x) I plus PSD (x) PSD pairs of random rank, scaled by 1/(d+1)."""
+    pairs = [(np.eye(d), np.eye(d))]
+    for _ in range(n_pairs):
+        ra, rb = (int(r) for r in rng.integers(1, d + 1, size=2))
+        pairs.append((random_psd(rng, d, ra) / (d + 1), random_psd(rng, d, rb) / (d + 1)))
+    return LRSum.from_pairs(pairs, d)
 
 
 def kernel_disjoint_psd_family(rng, d, count):
@@ -167,3 +177,50 @@ def find_zeta_certificate_reference(decomp, tol=1e-9, max_halvings=20):
         if zeta_check_reference(decomp, candidate.zetas, tol)[0]:
             return candidate
     return None
+
+
+def independent_subset_reference(columns, tol):
+    """The one-SVD-per-column greedy independent subset that ``_independent_subset`` replaced."""
+    if not columns:
+        return [], {}
+    stack = np.column_stack(columns)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    smax = float(svals[0]) if svals.size else 0.0
+    threshold = tol * smax
+    kept = []
+    coeffs = {}
+    for j in range(stack.shape[1]):
+        if smax == 0.0:
+            coeffs[j] = np.zeros(0, dtype=COMPLEX)
+            continue
+        if not kept:
+            if np.linalg.norm(stack[:, j]) > threshold:
+                kept.append(j)
+            else:
+                coeffs[j] = np.zeros(0, dtype=COMPLEX)
+            continue
+        if len(kept) < stack.shape[0] and (
+            np.linalg.svd(stack[:, kept + [j]], compute_uv=False)[-1] > threshold
+        ):
+            kept.append(j)
+        else:
+            sol, *_ = np.linalg.lstsq(stack[:, kept], stack[:, j], rcond=None)
+            coeffs[j] = sol
+    return kept, coeffs
+
+
+def count_linalg(monkeypatch, *names):
+    """Count the calls of the named numpy.linalg functions; returns the live counts."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return counts

@@ -11,7 +11,7 @@ from hsdecomp import (
     matrix_unit,
     op_norm,
 )
-from hsdecomp.core import _lambda_min_stack
+from hsdecomp.core import _lambda_min_stack, hermitian_part, skew_part
 from helpers import frob_inner_loops, random_matrix, random_psd, random_unitary
 
 
@@ -198,6 +198,22 @@ def test_lambda_min_stack_rejects_non_finite(bad):
     stack[1, 0, 1] = bad
     with pytest.raises(InputError, match="T: entries must be finite"):
         _lambda_min_stack(stack, 1e-9)
+
+
+def test_lambda_min_stack_empty():
+    lam, threshold = _lambda_min_stack(np.zeros((0, 3, 3)), 1e-9)
+    assert lam.shape == threshold.shape == (0,)
+    assert lam.dtype == threshold.dtype == np.float64
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_hermitian_and_skew_parts_of_a_stack_match_a_loop(k):
+    """k = 3 = n is the square stack a whole-array transpose gets silently wrong."""
+    stack = np.stack([random_matrix(np.random.default_rng(110 + i), 3) for i in range(k)])
+    for part in (hermitian_part, skew_part):
+        assert part(stack).tobytes() == np.stack([part(t) for t in stack]).tobytes()
+    t = stack[0]
+    assert skew_part(t).tobytes() == ((t - t.conj().T) / 2).tobytes()
 
 
 def test_lambda_min_stack_rejects_bad_tol():

@@ -38,8 +38,10 @@ from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
     counterexample_form_oracle,
     counterexample_liouville_oracle,
+    count_linalg,
     find_zeta_certificate_reference,
     pencil_oracle,
+    psd_sum,
     random_hermitian,
     random_matrix,
     random_pd,
@@ -480,15 +482,6 @@ def test_zeta_search_rejects_no_halvings():
     assert find_zeta_certificate(signed, max_halvings=1) is not None
 
 
-def psd_sum(rng, d, n_pairs):
-    """I (x) I plus PSD (x) PSD pairs of random rank, scaled by 1/(d+1)."""
-    pairs = [(np.eye(d), np.eye(d))]
-    for _ in range(n_pairs):
-        ra, rb = (int(r) for r in rng.integers(1, d + 1, size=2))
-        pairs.append((random_psd(rng, d, ra) / (d + 1), random_psd(rng, d, rb) / (d + 1)))
-    return LRSum.from_pairs(pairs, d)
-
-
 def a_passes_b_fails_fixture():
     """Along the search ray the a-condition holds from k = 12 on, while
     b_2 - zeta_2 b_1 = 2^-k 1e-6 I is below the threshold from k = 10 on."""
@@ -558,23 +551,6 @@ def test_non_finite_zeta_difference_is_input_error():
             zeta_check(decomp, ZetaCertificate((1e308,)))
         with pytest.raises(InputError, match="T: entries must be finite"):
             _zeta_conditions(decomp.terms[0], a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
-
-
-def count_linalg(monkeypatch, *names):
-    """Count the calls of the named numpy.linalg functions; returns the live counts."""
-    counts = dict.fromkeys(names, 0)
-
-    def counting(name):
-        fn = getattr(np.linalg, name)
-
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(np.linalg, name, counting(name))
-    return counts
 
 
 def test_zeta_search_work_counts(monkeypatch):

@@ -22,9 +22,13 @@ from hsdecomp import (
     vec,
 )
 from hsdecomp.posdecomp import counterexample_superop, pd_decompose
+from hsdecomp.superop import _independent_subset
 from helpers import (
+    count_linalg,
+    independent_subset_reference,
     kernel_disjoint_psd_family,
     liouville_by_action,
+    psd_sum,
     random_hermitian,
     random_hermitian_liouville,
     random_lrsum,
@@ -241,6 +245,113 @@ def test_reduce_output_families_independent():
         assert len(red) == np.linalg.matrix_rank(
             np.column_stack([vec(t.a) for t in red.terms])
         )
+
+
+def subset_corpus(rng, dims):
+    """Seeded (columns, tol, near) inputs for the rank rule of ``_independent_subset``.
+
+    Besides the empty input and an all-zero stack, there is one case per d in ``dims``, with
+    d^2 rows and 1..2d^2+2 columns drawn from a random mix of kinds: fresh columns scaled
+    by 1e-6, 1 or 1e6; zero columns; exact or scaled duplicates; combinations of earlier
+    columns perturbed by 1e-11..1e-7 relative; and ``near`` columns, combinations plus
+    a perturbation orthogonal to the earlier columns of 0.1..10 times tol * sigma_max.
+    """
+    def cvec(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+    yield [], 1e-9, []
+    yield [np.zeros(4, dtype=complex)] * 3, 1e-9, []
+    for d in dims:
+        n = d * d
+        tol = float(rng.choice([1e-9, 1e-6]))
+        weights = rng.dirichlet(np.ones(5))
+        cols, near, bumps = [], [], []
+        for j in range(int(rng.integers(1, 2 * n + 3))):
+            kind = int(rng.choice(5, p=weights)) if cols else 0
+            if kind == 0:
+                cols.append(cvec(n) * 10.0 ** rng.choice([-6, 0, 0, 6]))
+                continue
+            if kind == 1:
+                cols.append(np.zeros(n, dtype=complex))
+                continue
+            picks = rng.choice(len(cols), size=min(len(cols), int(rng.integers(1, 4))),
+                               replace=False)
+            if kind == 2:
+                scale = 1.0 if rng.random() < 0.5 else cvec(1)[0]
+                cols.append(scale * cols[picks[0]])
+                continue
+            comb = sum(c * cols[i] for c, i in zip(cvec(len(picks)), picks))
+            noise = cvec(n)
+            if kind == 3:
+                rel = 10.0 ** rng.uniform(-11, -7)
+                cols.append(comb + rel * np.linalg.norm(comb) * noise / np.linalg.norm(noise))
+                continue
+            q = np.linalg.qr(np.column_stack(cols))[0]
+            noise = noise - q @ (q.conj().T @ noise)
+            cols.append(comb)
+            if np.linalg.norm(noise) > 1e-8:
+                near.append(j)
+                bumps.append(10.0 ** rng.uniform(-1, 1) * noise / np.linalg.norm(noise))
+        if near:
+            smax = np.linalg.svd(np.column_stack(cols), compute_uv=False)[0]
+            for j, bump in zip(near, bumps):
+                cols[j] = cols[j] + tol * smax * bump
+        yield cols, tol, near
+
+
+def assert_same_subset(got, ref):
+    """Same kept list and the same coefficient arrays, bit for bit and in the same key order."""
+    assert got[0] == ref[0]
+    assert list(got[1]) == list(ref[1])
+    for j, sol in ref[1].items():
+        assert got[1][j].dtype == sol.dtype and got[1][j].shape == sol.shape
+        assert got[1][j].tobytes() == sol.tobytes(), j
+
+
+def test_independent_subset_matches_reference():
+    """The galloping block rule keeps the columns and returns the coefficient bits of
+    the one-SVD-per-column rule; the near-threshold columns fall on both sides of the
+    threshold, within 10x of it."""
+    ratios = []
+    dims = [1, 2, 3, 4] * 40 + [5, 6, 7, 8] * 6
+    for cols, tol, near in subset_corpus(np.random.default_rng(61), dims):
+        ref = independent_subset_reference(cols, tol)
+        assert_same_subset(_independent_subset(cols, tol), ref)
+        if near:
+            stack = np.column_stack(cols)
+            threshold = tol * np.linalg.svd(stack, compute_uv=False)[0]
+            for j in near:
+                before = [k for k in ref[0] if k < j]
+                if before and len(before) < stack.shape[0]:
+                    smin = np.linalg.svd(stack[:, before + [j]], compute_uv=False)[-1]
+                    ratios.append(smin / threshold)
+    ratios = np.array(ratios)
+    assert np.count_nonzero((ratios > 0.1) & (ratios <= 1)) >= 50
+    assert np.count_nonzero((ratios > 1) & (ratios < 10)) >= 50
+
+
+def test_reduce_terms_svd_count_d8(monkeypatch):
+    """Counts, not wall time: a d = 8, 65-term I (x) I + PSD (x) PSD sum reduces with at
+    most 16 SVDs (one column at a time takes 128)."""
+    s = psd_sum(np.random.default_rng(62), 8, 64)
+    counts = count_linalg(monkeypatch, "svd")
+    red = reduce_terms(s)
+    assert counts["svd"] <= 16
+    assert len(red) == 64
+    assert rel_err(to_liouville(red), to_liouville(s)) <= 1e-9
+
+
+def test_reduce_terms_svd_count_dependent_heavy(monkeypatch):
+    """Counts: 40 copies of 3 matrices at d = 3 take at most 2 SVDs per column plus one per
+    pass; every copy is still folded into the 3 kept terms."""
+    rng = np.random.default_rng(63)
+    base = [random_matrix(rng, 3) for _ in range(3)]
+    s = LRSum.from_pairs([(base[k % 3], random_matrix(rng, 3)) for k in range(120)], 3)
+    counts = count_linalg(monkeypatch, "svd")
+    red = reduce_terms(s)
+    assert counts["svd"] <= (2 * 120 + 1) + (2 * 3 + 1)
+    assert len(red) == 3
+    assert rel_err(to_liouville(red), to_liouville(s)) <= 1e-9
 
 
 def test_signed_sum_agrees_with_folded_sum():
