@@ -60,7 +60,7 @@ def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
         raise InputError(f"{name}: not convertible to a complex matrix") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise InputError(f"{name}: expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise InputError(f"{name}: entries must be finite")
     return m
 
@@ -190,8 +190,8 @@ class PositivityReport:
 def _tolerance_rule(t: np.ndarray, tol: float) -> tuple[bool, float]:
     """The classifier's rule for one finite matrix: (non_hermitian, threshold).
 
-    T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its
-    eigenvalues are thresholded at tol * max(1, ||T||_F).
+    T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its eigenvalues
+    are thresholded at tol * max(1, ||T||_F). ``_lambda_min_stack`` applies it to stacks.
     """
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
@@ -199,21 +199,37 @@ def _tolerance_rule(t: np.ndarray, tol: float) -> tuple[bool, float]:
     return frob_norm(t - t.conj().T) > tol * norm_t, tol * max(1.0, norm_t)
 
 
+def _frob_norms(ts: np.ndarray) -> np.ndarray:
+    """``frob_norm`` of each matrix of a complex (k, m, n) stack, bit for bit.
+
+    Like ``ravel(order="K")``, each matrix is read in memory order (the last two
+    axes swap when the last has the larger stride); the scalar-output matmul of
+    each flattened real and imaginary part makes the ``dot`` call ``frob_norm`` does.
+    """
+    if abs(ts.strides[-1]) > abs(ts.strides[-2]):
+        ts = ts.swapaxes(-1, -2)
+    x = ts.reshape(len(ts), 1, ts.shape[-2] * ts.shape[-1])
+    sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    return np.sqrt(sq[:, 0, 0])
+
+
 def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
 
-    The values are those ``classify_hermitian`` reports, from one batched
-    ``eigh``: lambda_min is NaN where the Hermiticity test fails. A matrix
-    is positive definite iff lambda_min > threshold and positive
-    semidefinite iff lambda_min >= -threshold (both false for NaN).
+    The values are those ``classify_hermitian`` reports, from one batched ``eigh``
+    and ``_tolerance_rule`` on the whole stack: lambda_min is NaN where the
+    Hermiticity test fails. A matrix is positive definite iff lambda_min > threshold
+    and positive semidefinite iff lambda_min >= -threshold (both false for NaN).
     """
     ts = np.asarray(ts, dtype=_COMPLEX)
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise InputError("T: entries must be finite")
-    rules = np.array([_tolerance_rule(t, tol) for t in ts]).reshape(len(ts), 2)
-    non_hermitian, threshold = rules[:, 0] > 0, rules[:, 1]
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")
+    norms = _frob_norms(ts)
+    non_hermitian = _frob_norms(ts - ts.conj().swapaxes(-1, -2)) > tol * norms
     lam = np.linalg.eigh(hermitian_part(ts))[0][:, 0]
-    return np.where(non_hermitian, math.nan, lam), threshold
+    return np.where(non_hermitian, math.nan, lam), tol * np.maximum(1.0, norms)
 
 
 def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:

@@ -62,7 +62,7 @@ def _solve(b, c) -> tuple[np.ndarray, np.ndarray]:
     b = hermitian_part(as_square_matrix(b, "b"))
     c = hermitian_part(as_square_matrix(c, "c"))
     w, y, l_inv = _reduced_eigh(b, c)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericalError(_OVERFLOW)
     return w, l_inv.conj().T @ y
 
@@ -78,12 +78,12 @@ def _pencil_minima(bs, c):
     if len(bs) == 0:
         return
     bs = np.asarray(bs, dtype=_COMPLEX)
-    if not np.all(np.isfinite(bs)):
+    if not np.isfinite(bs).all():
         raise InputError("b: entries must be finite")
     c = hermitian_part(as_square_matrix(c, "c"))
     w, _, _ = _reduced_eigh(hermitian_part(bs), c)
     for w_i in w:
-        if not np.all(np.isfinite(w_i)):
+        if not np.isfinite(w_i).all():
             raise NumericalError(_OVERFLOW)
         yield float(w_i[0])
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    _frob_norms,
     _hermitian_units,
     _lambda_min_stack,
     as_square_matrix,
@@ -509,7 +510,7 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     ratios = np.array([g / gamma11 for g in gamma.tolist()])
     rest = blocks[others] - ratios[:, None, None] * diag1
     drop_threshold = 1e-13 * max(1.0, frob_norm(m))
-    keep = np.array([frob_norm(r) > drop_threshold for r in rest], dtype=bool)
+    keep = _frob_norms(rest) > drop_threshold
     rest, kept = rest[keep], others[keep]
 
     # margin stage: stacked first checks for all beta, then alpha
@@ -582,7 +583,7 @@ def _zeta_conditions(
     b_n - zeta_n b_1 raises InputError either way.
     """
     combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
-    if not np.all(np.isfinite(b_diffs)):
+    if not np.isfinite(b_diffs).all():
         raise InputError("T: entries must be finite")
     (a_margin,), (a_threshold,) = _lambda_min_stack(combined[None], tol)
     a_ok = bool(a_margin >= -a_threshold)

@@ -167,12 +167,19 @@ def apply_superop(s: LRSum, eta) -> np.ndarray:
 
 
 def to_liouville(s: LRSum) -> np.ndarray:
-    """Dense Liouville matrix sum_n s_n (b_n^T kron a_n)."""
-    n = s.dim * s.dim
-    out = np.zeros((n, n), dtype=_COMPLEX)
-    for t in s.as_lrsum().terms:
-        out += np.kron(t.b.T, t.a)
-    return out
+    """Dense Liouville matrix sum_n s_n (b_n^T kron a_n), summed from zeros in term order.
+
+    The exact products of each term fill one reused buffer with the bits of
+    ``np.kron(b.T, a)`` over ``as_lrsum()``: b^T stays the first operand (complex
+    products do not commute bitwise) and signs fold into a as ``as_lrsum()`` folds them.
+    """
+    d = s.dim
+    out, buf = np.zeros((d, d, d, d), dtype=_COMPLEX), np.empty((d, d, d, d), dtype=_COMPLEX)
+    for t in s.terms:
+        a = t.sign * t.a if s.has_negative else t.a
+        np.multiply(t.b.T[:, None, :, None], a[None, :, None, :], out=buf)
+        out += buf
+    return out.reshape(d * d, d * d)
 
 
 def _liouville_dim(m: np.ndarray) -> int:

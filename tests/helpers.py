@@ -5,8 +5,9 @@ the Liouville oracle builds the matrix column by column from the action
 on basis matrices (no Kronecker products), the inner-product oracle is a
 double loop, and the pencil oracle goes through an explicit inverse
 square root. The zeta references are the per-matrix certificate check and
-search, and the independent-subset reference is the one-SVD-per-column rank
-test, that the library routines must reproduce bit for bit.
+search, the independent-subset reference is the one-SVD-per-column rank
+test, and ``to_liouville_reference`` is the ``np.kron`` loop, that the
+library routines must reproduce bit for bit.
 """
 
 import numpy as np
@@ -93,6 +94,15 @@ def liouville_by_action(s: LRSum) -> np.ndarray:
             col = (mm - 1) * d + (n - 1)
             m[:, col] = vec(apply_superop(s, unit))
     return m
+
+
+def to_liouville_reference(s: LRSum) -> np.ndarray:
+    """The ``np.kron`` loop over ``as_lrsum()`` that ``to_liouville`` replaced."""
+    n = s.dim * s.dim
+    out = np.zeros((n, n), dtype=COMPLEX)
+    for t in s.as_lrsum().terms:
+        out += np.kron(t.b.T, t.a)
+    return out
 
 
 def frob_inner_loops(eta, tau) -> complex:

@@ -11,8 +11,15 @@ from hsdecomp import (
     matrix_unit,
     op_norm,
 )
-from hsdecomp.core import _lambda_min_stack, hermitian_part, skew_part
-from helpers import frob_inner_loops, random_matrix, random_psd, random_unitary
+from hsdecomp.core import _frob_norms, _lambda_min_stack, hermitian_part, skew_part
+from hsdecomp.superop import left_blocks
+from helpers import (
+    frob_inner_loops,
+    random_hermitian,
+    random_matrix,
+    random_psd,
+    random_unitary,
+)
 
 
 def test_matrix_unit_definition():
@@ -174,22 +181,40 @@ def mixed_stack(rng, d, scale):
     return scale * np.stack(members)
 
 
-@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def stack_layouts(rng, d, scale):
+    """One stack of mixed members in five memory layouts, and a left_blocks view."""
+    c = np.concatenate([mixed_stack(rng, d, scale) for _ in range(int(rng.integers(1, 12)))])
+    yield "C", c
+    yield "F blocks", c.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    yield "transposed view", c.transpose(0, 2, 1)
+    yield "asfortranarray", np.asfortranarray(c)
+    yield "every second", np.repeat(c, 2, axis=0)[::2]
+    m = random_hermitian(rng, d * d, scale) + 1e-13 * scale * random_matrix(rng, d * d)
+    yield "left_blocks", left_blocks(m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_lambda_min_stack_matches_classify_bitwise(d, scale):
+    """In six layouts: frob_norm sums in each matrix's memory order, so the stacked norms,
+    thresholds and decisions must follow the layout to keep the classifier's bytes."""
     rng = np.random.default_rng(107 + d)
-    for _ in range(5):
-        stack = mixed_stack(rng, d, scale)
-        lam, threshold = _lambda_min_stack(stack, 1e-9)
-        reports = [classify_hermitian(t, 1e-9) for t in stack]
-        expected = np.array([r.lambda_min for r in reports])
-        assert lam.tobytes() == expected.tobytes()
-        rule = np.array([1e-9 * max(1.0, frob_norm(t)) for t in stack])
-        assert threshold.tobytes() == rule.tobytes()
-        assert [bool(x > t) for x, t in zip(lam, threshold)] == [r.is_pd for r in reports]
-        assert [bool(x >= -t) for x, t in zip(lam, threshold)] == [r.is_psd for r in reports]
-    if d > 1:
-        assert np.isnan(lam[4]) and not reports[4].is_hermitian
+    for _ in range(2):
+        for name, stack in stack_layouts(rng, d, scale):
+            if d > 1 and name not in ("C", "every second"):
+                assert not stack[0].flags.c_contiguous, name
+            norms = np.array([frob_norm(t) for t in stack])
+            assert _frob_norms(stack).tobytes() == norms.tobytes(), name
+            lam, threshold = _lambda_min_stack(stack, 1e-9)
+            reports = [classify_hermitian(t, 1e-9) for t in stack]
+            expected = np.array([r.lambda_min for r in reports])
+            assert lam.tobytes() == expected.tobytes(), name
+            rule = np.array([1e-9 * max(1.0, n) for n in norms])
+            assert threshold.tobytes() == rule.tobytes(), name
+            assert [bool(x > t) for x, t in zip(lam, threshold)] == [r.is_pd for r in reports]
+            assert [bool(x >= -t) for x, t in zip(lam, threshold)] == [r.is_psd for r in reports]
+            if d > 1 and name == "C":
+                assert np.isnan(lam[4]) and not reports[4].is_hermitian
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -217,5 +242,10 @@ def test_hermitian_and_skew_parts_of_a_stack_match_a_loop(k):
 
 
 def test_lambda_min_stack_rejects_bad_tol():
-    with pytest.raises(InputError, match="tol must be positive"):
-        _lambda_min_stack(np.eye(2)[None], 0.0)
+    """Also on an empty stack; a non-finite entry is reported before the tol."""
+    for stack in (np.eye(2)[None], np.zeros((0, 3, 3))):
+        for tol in (0.0, -1.0, np.nan):
+            with pytest.raises(InputError, match="tol must be positive"):
+                _lambda_min_stack(stack, tol)
+    with pytest.raises(InputError, match="T: entries must be finite"):
+        _lambda_min_stack(np.full((1, 2, 2), np.inf), 0.0)

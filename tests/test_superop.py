@@ -35,6 +35,7 @@ from helpers import (
     random_matrix,
     random_psd,
     rel_err,
+    to_liouville_reference,
 )
 
 
@@ -91,6 +92,62 @@ def test_to_liouville_matches_action_oracle():
         d = int(rng.integers(2, 5))
         s = random_lrsum(rng, d, int(rng.integers(1, 4)))
         assert rel_err(to_liouville(s), liouville_by_action(s)) < 1e-12
+
+
+def signed_zero_matrix(rng, d):
+    """Entries drawn from +-0.0 and a few nonzero values in both parts."""
+    z = np.empty((d, d), dtype=complex)
+    z.real = rng.choice([-0.0, 0.0, 1.5, -2.0], size=(d, d))
+    z.imag = rng.choice([-0.0, 0.0, -0.5], size=(d, d))
+    return z
+
+
+def liouville_corpus(rng):
+    """d = 1..8 with 0, 1, 3, 65 and 130 terms at scales 1e-12..1e12, each also with a
+    real-valued negative first term, and in transpose-dual and adjoint form (F-ordered
+    factors); signed-zero factors; the signed decompositions of the counterexample; and
+    the reduced, selfadjoint and signed sums of a pipeline operator."""
+    for d in range(1, 9):
+        for n, scale in zip((0, 1, 3, 65, 130), (1e-12, 1e12, 1.0, 1e-6, 1e6)):
+            s = random_lrsum(rng, d, n, scale)
+            real = scale * rng.standard_normal((d, d))
+            signed = LRSum(d, (LRTerm(real, random_matrix(rng, d, scale), -1),) + s.terms)
+            yield from (s, signed, transpose_dual(signed), adjoint(signed))
+        zeros = [(signed_zero_matrix(rng, d), signed_zero_matrix(rng, d)) for _ in range(3)]
+        yield LRSum(d, (LRTerm(*zeros[0], -1),) + tuple(LRTerm(a, b) for a, b in zeros[1:]))
+    for t in (0.1, 0.25, 0.4):
+        yield pd_decompose(counterexample_superop(t))[0]
+    s = psd_sum(rng, 8, 64)
+    yield from (s, reduce_terms(s), selfadjoint_decompose(s), pd_decompose(s)[0])
+
+
+def test_to_liouville_matches_kron_reference_bitwise():
+    """The same bytes as the np.kron loop. The corpus holds products that are -0.0, which
+    a sum started from them instead of from zeros would keep. Folding a sign as -a instead
+    of -1 * a changes only signed zeros, which a sum started from +0.0 never keeps."""
+    count = negative_zero_products = 0
+    for s in liouville_corpus(np.random.default_rng(64)):
+        got, ref = to_liouville(s), to_liouville_reference(s)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), count
+        for t in s.terms:
+            kron = np.kron(t.b.T, t.a).view(float)
+            negative_zero_products += np.count_nonzero((kron == 0) & np.signbit(kron))
+        count += 1
+    assert count == 8 * (5 * 4 + 1) + 3 + 4
+    assert negative_zero_products > 0
+
+
+def test_to_liouville_makes_no_kron_call(monkeypatch):
+    rng = np.random.default_rng(65)
+    s = LRSum(3, (LRTerm(random_matrix(rng, 3), random_matrix(rng, 3), -1),)
+              + random_lrsum(rng, 3, 3).terms)
+    ref = to_liouville_reference(s)
+
+    def no_kron(*args, **kwargs):
+        raise AssertionError("to_liouville called np.kron")
+    monkeypatch.setattr(np, "kron", no_kron)
+    assert to_liouville(s).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["left", "right"])
