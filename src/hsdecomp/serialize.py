@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
+from itertools import chain, compress, repeat
 from typing import Any
 
 import numpy as np
@@ -39,32 +41,95 @@ def matrix_to_rows(m) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def _entry_to_complex(entry, where: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-    ):
-        raise InputError(f"{where}: entries must be [re, im] number pairs")
-    re, im = float(entry[0]), float(entry[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise InputError(f"{where}: entries must be finite")
-    return complex(re, im)
+# float() of an int this large in magnitude or larger overflows: it would round to 2**1024.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+_PAIRS = "entries must be [re, im] number pairs"
+_FINITE = "entries must be finite"
+
+
+def _is_pair_type(t) -> bool:
+    return issubclass(t, (list, tuple))
+
+
+def _is_number_type(t) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _all_types(items, accept) -> bool:
+    """Whether every item's type passes ``accept``, tested once per distinct type."""
+    return all(map(accept, set(map(type, items))))
+
+
+def _type_mask(items, accept) -> np.ndarray:
+    types = list(map(type, items))
+    verdict = {t: accept(t) for t in set(types)}
+    return np.fromiter(map(verdict.__getitem__, types), bool, len(types))
+
+
+def _pair_values(entries) -> np.ndarray | None:
+    """The [re, im] entries as one flat float64 array, or None if any entry is bad."""
+    if not (_all_types(entries, _is_pair_type) and set(map(len, entries)) <= {2}):
+        return None
+    values = list(chain.from_iterable(entries))
+    if not _all_types(values, _is_number_type):
+        return None
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _first_bad_entry(entries) -> tuple[int, str]:
+    """Index and message of the first bad entry, derived from masks.
+
+    An entry fails the shape test (a list or tuple of two numbers, no
+    bool) before the finiteness test, so the first entry failing either
+    one is the first that an entry-by-entry scan rejects.
+    """
+    pairs = _type_mask(entries, _is_pair_type)
+    pairs[pairs] = np.fromiter(map(len, compress(entries, pairs)), np.intp) == 2
+    values = list(chain.from_iterable(compress(entries, pairs)))
+    numbers = _type_mask(values, _is_number_type)
+    ints = numbers & _type_mask(values, lambda t: issubclass(t, int))
+    floats = numbers & ~ints
+    finite = np.zeros(len(values), bool)
+    finite[ints] = np.fromiter(
+        map(operator.lt, map(abs, compress(values, ints)), repeat(_FLOAT_OVERFLOW)), bool
+    )
+    finite[floats] = np.isfinite(np.array(list(compress(values, floats)), dtype=np.float64))
+    good = pairs.copy()
+    good[pairs] = finite.reshape(-1, 2).all(axis=1)
+    pairs[pairs] = numbers.reshape(-1, 2).all(axis=1)
+    i = int(np.argmin(good))
+    return i, _FINITE if pairs[i] else _PAIRS
 
 
 def rows_to_matrix(rows, dim: int | None = None, where: str = "matrix") -> np.ndarray:
+    """Parse a row-major array of [re, im] rows into a square complex matrix.
+
+    Entry values are ints or floats (subclasses such as ``np.float64``
+    included, ``bool`` never) that convert to finite float64s. Types are
+    checked once per distinct type and the values converted in one array,
+    so valid input costs no Python work per entry. An error names the
+    first bad row or entry in row-major order.
+    """
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{where}: expected a non-empty array of rows")
     n = len(rows)
     if dim is not None and n != dim:
         raise InputError(f"{where}: expected {dim} rows, got {n}")
-    out = np.zeros((n, n), dtype=np.complex128)
-    for r, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"{where}: row {r} must have {n} entries")
-        for c, entry in enumerate(row):
-            out[r, c] = _entry_to_complex(entry, f"{where}[{r}][{c}]")
-    return out
+    short = n
+    if not (_all_types(rows, lambda t: issubclass(t, list)) and set(map(len, rows)) == {n}):
+        short = next(r for r, row in enumerate(rows) if not isinstance(row, list) or len(row) != n)
+    entries = list(chain.from_iterable(rows[:short]))
+    values = _pair_values(entries)
+    if values is None:
+        i, message = _first_bad_entry(entries)
+        raise InputError(f"{where}[{i // n}][{i % n}]: {message}")
+    if short < n:
+        raise InputError(f"{where}: row {short} must have {n} entries")
+    return values.view(np.complex128).reshape(n, n)
 
 
 def operator_to_obj(s: LRSum) -> dict:

@@ -6,13 +6,17 @@ on basis matrices (no Kronecker products), the inner-product oracle is a
 double loop, and the pencil oracle goes through an explicit inverse
 square root. The zeta references are the per-matrix certificate check and
 search, the independent-subset reference is the one-SVD-per-column rank
-test, and ``to_liouville_reference`` is the ``np.kron`` loop, that the
+test, ``to_liouville_reference`` is the ``np.kron`` loop, and
+``rows_to_matrix_reference`` is the per-entry wire parser, that the
 library routines must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from hsdecomp import (
+    InputError,
     LRSum,
     ZetaCertificate,
     apply_superop,
@@ -217,6 +221,35 @@ def independent_subset_reference(columns, tol):
             sol, *_ = np.linalg.lstsq(stack[:, kept], stack[:, j], rcond=None)
             coeffs[j] = sol
     return kept, coeffs
+
+
+def _entry_to_complex(entry, where: str) -> complex:
+    if (
+        not isinstance(entry, (list, tuple))
+        or len(entry) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+    ):
+        raise InputError(f"{where}: entries must be [re, im] number pairs")
+    re, im = float(entry[0]), float(entry[1])
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise InputError(f"{where}: entries must be finite")
+    return complex(re, im)
+
+
+def rows_to_matrix_reference(rows, dim: int | None = None, where: str = "matrix") -> np.ndarray:
+    """The per-entry parser that ``serialize.rows_to_matrix`` replaced."""
+    if not isinstance(rows, list) or not rows:
+        raise InputError(f"{where}: expected a non-empty array of rows")
+    n = len(rows)
+    if dim is not None and n != dim:
+        raise InputError(f"{where}: expected {dim} rows, got {n}")
+    out = np.zeros((n, n), dtype=np.complex128)
+    for r, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise InputError(f"{where}: row {r} must have {n} entries")
+        for c, entry in enumerate(row):
+            out[r, c] = _entry_to_complex(entry, f"{where}[{r}][{c}]")
+    return out
 
 
 def count_linalg(monkeypatch, *names):

@@ -271,6 +271,49 @@ def test_non_integer_sign_is_input_error(capsys, monkeypatch):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def _operator_text(factor, r, c, raw):
+    """A d = 2 classify input whose factor ``factor`` has ``raw`` (JSON text) at [r][c], or as row r."""
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    bad = [[list(e) for e in row] for row in rows]
+    if c is None:
+        bad[r] = "@"
+    else:
+        bad[r][c] = "@"
+    term = {"a": rows, "b": rows, factor: bad}
+    return json.dumps({"dim": 2, "terms": [term]}).replace('"@"', raw)
+
+
+PAIRS = "entries must be [re, im] number pairs"
+
+
+@pytest.mark.parametrize(
+    "factor, r, c, raw, message",
+    [
+        ("a", 0, 1, "[true, 0.0]", f"term 0 'a'[0][1]: {PAIRS}"),
+        ("a", 1, 0, '["1", 0.0]', f"term 0 'a'[1][0]: {PAIRS}"),
+        ("b", 0, 0, "[null, 0.0]", f"term 0 'b'[0][0]: {PAIRS}"),
+        ("a", 1, 1, "[Infinity, 0.0]", "term 0 'a'[1][1]: entries must be finite"),
+        ("b", 1, 1, "[1.0]", f"term 0 'b'[1][1]: {PAIRS}"),
+        ("a", 1, None, "[[0.0, 0.0]]", "term 0 'a': row 1 must have 2 entries"),
+    ],
+    ids=["bool", "string", "null", "infinity", "one-element", "short-row"],
+)
+def test_bad_entry_error_report(factor, r, c, raw, message, capsys, monkeypatch):
+    code, out, _ = run_cli(["classify"], _operator_text(factor, r, c, raw), capsys, monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"] == {"type": "InputError", "message": message}
+
+
+def test_huge_integer_entry_is_input_error(capsys, monkeypatch):
+    # a JSON integer beyond the float range parses as a Python int that float() cannot hold
+    text = _operator_text("a", 0, 0, "[1" + "0" * 400 + ", 0]")
+    code, out, _ = run_cli(["classify"], text, capsys, monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "InputError", "message": "term 0 'a'[0][0]: entries must be finite",
+    }
+
+
 def test_missing_operator_input(capsys, monkeypatch):
     code, out, _ = run_cli(["classify"], '{"foo": 1}', capsys, monkeypatch)
     assert code == 1

@@ -14,7 +14,7 @@ from hsdecomp.serialize import (
     operator_to_obj,
     rows_to_matrix,
 )
-from helpers import random_lrsum, rel_err
+from helpers import random_lrsum, rel_err, rows_to_matrix_reference
 
 
 def test_matrix_round_trip():
@@ -31,6 +31,176 @@ def test_rows_validation():
         rows_to_matrix([[[1, 0]], [[0, 1]]])  # ragged vs square
     with pytest.raises(InputError):
         rows_to_matrix([[[1, 0], [0, float("inf")]], [[0, 0], [1, 0]]])
+
+
+def test_rows_to_matrix_huge_integer_is_input_error():
+    # float() of this int overflows; it is reported like any non-finite entry
+    rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 10**400], [1.0, 0.0]]]
+    with pytest.raises(InputError) as info:
+        rows_to_matrix(rows, 2, "m")
+    assert str(info.value) == "m[1][0]: entries must be finite"
+
+
+class _ListSub(list):
+    pass
+
+
+class _IntSub(int):
+    pass
+
+
+class _FloatSub(float):
+    pass
+
+
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the smallest int whose float() overflows
+_GOOD_VALUES = [
+    0, -0, 1, -7, 2**53 + 1, -(2**53 + 1), 2**63 + 1025, 2**64 + 1, -(2**63), 2**100 + 1,
+    _FLOAT_OVERFLOW - 1, -(_FLOAT_OVERFLOW - 1), -0.0, 5e-324, -5e-324, 1e-310,
+    1e308, -1e308, 1.7976931348623157e308, np.float64(0.1), np.float64(-0.0),
+    _IntSub(3), _FloatSub(2.5),
+]
+_BAD_VALUES = [
+    True, False, "1", None, [1.0], np.float32(1.5), np.int64(3), 1 + 0j,
+    float("nan"), float("inf"), float("-inf"), np.float64("nan"), _FloatSub("inf"),
+]
+_OVERFLOW_VALUES = [10**400, -(10**400), _FLOAT_OVERFLOW, -_FLOAT_OVERFLOW]
+
+
+def _good_entries(e):
+    return [tuple(e), _ListSub(e), [7, e[1]]]
+
+
+def _bad_entries(e):
+    return [
+        e[:1], e + [0.0], [], e[0], "ab", None, {"re": e[0]}, [e], (e[0],), [e[0], True],
+        [float("nan"), True], np.array(e),
+    ]
+
+
+def _bad_rows(row):
+    return [row[:-1], row + row[:1], tuple(row), None, "row", _ListSub(row)]
+
+
+def _mutate(rng, rows, kind):
+    """Apply one mutation of ``kind`` at a random place; returns its label."""
+    d = len(rows)
+    r, c, p = int(rng.integers(d)), int(rng.integers(d)), int(rng.integers(2))
+    row = rows[r]
+    if type(row) is not list or len(row) != d:  # already mutated
+        return "skip"
+    if kind == "row":
+        options = _bad_rows(row)
+        j = int(rng.integers(len(options)))
+        rows[r] = options[j]
+        return f"row{r}:{j}"
+    entry = row[c]
+    if type(entry) is not list or len(entry) != 2:
+        return "skip"
+    if kind == "entry":
+        options = _good_entries(entry) + _bad_entries(entry)
+        j = int(rng.integers(len(options)))
+        row[c] = options[j]
+        return f"[{r}][{c}]:e{j}"
+    pool = {"good": _GOOD_VALUES, "bad": _BAD_VALUES, "overflow": _OVERFLOW_VALUES}[kind]
+    j = int(rng.integers(len(pool)))
+    entry = list(entry)
+    entry[p] = pool[j]
+    row[c] = entry
+    return f"[{r}][{c}][{p}]:{kind}{j}"
+
+
+# Mixed failures whose message pins the order of the checks.
+_ORDER_CASES = {
+    # a bad entry in row 0 is reported before the short row 1
+    "entry-before-short-row": (
+        [[[1.0, 0.0], [True, 0.0], [0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]] * 3],
+        "m[0][1]: entries must be [re, im] number pairs"),
+    # the short row 1 is reported before a bad entry in row 2
+    "short-row-before-entry": (
+        [[[1.0, 0.0]] * 3, [[0.0, 0.0]], [[0.0, 0.0], ["x", 0.0], [0.0, 0.0]]],
+        "m: row 1 must have 3 entries"),
+    # entries are taken left to right: NaN at [0][0] before a bool at [0][1]
+    "nan-before-bool": (
+        [[[float("nan"), 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "m[0][0]: entries must be finite"),
+    # within one entry the type test comes first
+    "type-before-finite": (
+        [[[float("nan"), True], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "m[0][0]: entries must be [re, im] number pairs"),
+    # an overflowing int after a bad type is not the first error, and before one it is
+    "type-before-overflow": (
+        [[[1.0, 0.0], [None, 0.0]], [[10**400, 0.0], [1.0, 0.0]]],
+        "m[0][1]: entries must be [re, im] number pairs"),
+    "overflow-before-type": (
+        [[[1.0, 0.0], [0.0, -(10**400)]], [[None, 0.0], [1.0, 0.0]]],
+        "m[0][1]: entries must be finite"),
+}
+
+
+def _rows_corpus():
+    """(label, rows, dim, overflows) cases: seeded, single and mixed mutations."""
+    rng = np.random.default_rng(62)
+    cases = [
+        ("not-a-list", "rows", None, False),
+        ("empty", [], None, False),
+        ("dim-mismatch", [[[1.0, 0.0]]], 2, False),
+        ("tuple-rows", ([[1.0, 0.0]],), None, False),
+        # signed zeros survive, the int -0 is +0.0 and 2**53 + 1 rounds to even
+        ("signed-zeros", [[[-0.0, -0.0], [2**53 + 1, -0]], [[5e-324, -0.0], [0, np.float64(-0.0)]]],
+         2, False),
+    ]
+    cases += [(label, rows, None, "overflow" in label) for label, (rows, _) in _ORDER_CASES.items()]
+    for trial in range(600):
+        d = int(rng.integers(1, 9))
+        scale = 10.0 ** int(rng.integers(-300, 300))
+        m = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        rows = matrix_to_rows(m)
+        kinds = rng.choice(
+            ["good", "bad", "overflow", "entry", "row"], size=int(rng.integers(0, 4)),
+            p=[0.3, 0.25, 0.05, 0.25, 0.15],
+        )
+        labels = [_mutate(rng, rows, str(k)) for k in kinds]
+        overflows = any("overflow" in label for label in labels)
+        cases.append((f"{trial}:d{d}:" + ",".join(labels), rows, d if trial % 2 else None, overflows))
+    return cases
+
+
+def _outcome(fn, rows, dim):
+    try:
+        m = fn(rows, dim, "m")
+    except Exception as exc:  # the reference may raise OverflowError
+        return type(exc), str(exc)
+    return m.dtype, m.shape, m.flags.c_contiguous, m.tobytes()
+
+
+def test_rows_to_matrix_matches_reference():
+    differing = []
+    overflow_fixes = 0
+    for label, rows, dim, overflows in _rows_corpus():
+        got = _outcome(rows_to_matrix, rows, dim)
+        want = _outcome(rows_to_matrix_reference, rows, dim)
+        if not isinstance(got[1], str):  # a matrix, not an error message
+            assert got[0] == np.complex128 and got[2], label
+        if got == want:
+            continue
+        # the one intended difference: an int beyond the float range is a typed
+        # "not finite" error instead of an OverflowError from float()
+        if overflows and want[0] is OverflowError and got[0] is InputError:
+            assert got[1].endswith("entries must be finite"), label
+            overflow_fixes += 1
+            continue
+        differing.append((label, got, want))
+    assert differing == []
+    assert overflow_fixes > 0
+
+
+@pytest.mark.parametrize("label", list(_ORDER_CASES))
+def test_rows_to_matrix_reports_first_bad_entry(label):
+    rows, message = _ORDER_CASES[label]
+    with pytest.raises(InputError) as info:
+        rows_to_matrix(rows, None, "m")
+    assert str(info.value) == message
 
 
 def test_operator_round_trip():
