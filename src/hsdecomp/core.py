@@ -9,14 +9,13 @@ Conventions
 -----------
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
-- ``classify_hermitian`` works at a relative tolerance: the Hermiticity
-  test compares against tol * ||T||_F, the eigenvalue thresholds against
-  tol * max(1, ||T||_F).
-- ``_lambda_min_stack`` applies the same rule to a (k, n, n) stack with one
-  batched ``eigh``: it returns each matrix's lambda_min (NaN where the
-  Hermiticity test fails) and threshold, bit for bit what
-  ``classify_hermitian`` computes, for internal positivity tests that need
-  no witness or report.
+- One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
+  (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F))
+  for ``classify_hermitian``, every stacked positivity check and trace
+  ``lambda_min_*`` field (``_lambda_min_stack``, NaN where not Hermitian) and
+  ``diag_blocks``. Not following it yet: the ``pd_decompose`` drop threshold,
+  ``_nonvanishing_vector``, ``_independent_subset``, the one-sum zero and
+  two-sum vanishing-factor tests, and ``selfadjoint_decompose``'s inline test.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -187,18 +186,6 @@ class PositivityReport:
         return self.kind is PositivityClass.POSITIVE_DEFINITE
 
 
-def _tolerance_rule(t: np.ndarray, tol: float) -> tuple[bool, float]:
-    """The classifier's rule for one finite matrix: (non_hermitian, threshold).
-
-    T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its eigenvalues
-    are thresholded at tol * max(1, ||T||_F). ``_lambda_min_stack`` applies it to stacks.
-    """
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    norm_t = frob_norm(t)
-    return frob_norm(t - t.conj().T) > tol * norm_t, tol * max(1.0, norm_t)
-
-
 def _frob_norms(ts: np.ndarray) -> np.ndarray:
     """``frob_norm`` of each matrix of a complex (k, m, n) stack, bit for bit.
 
@@ -213,23 +200,39 @@ def _frob_norms(ts: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
+def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The positivity rule on a complex (k, n, n) stack: (non_hermitian, threshold) per matrix.
 
-    The values are those ``classify_hermitian`` reports, from one batched ``eigh``
-    and ``_tolerance_rule`` on the whole stack: lambda_min is NaN where the
-    Hermiticity test fails. A matrix is positive definite iff lambda_min > threshold
-    and positive semidefinite iff lambda_min >= -threshold (both false for NaN).
+    T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its eigenvalues are
+    thresholded at tol * max(1, ||T||_F). Non-finite entries are reported before a bad tol.
     """
-    ts = np.asarray(ts, dtype=_COMPLEX)
     if not np.isfinite(ts).all():
         raise InputError("T: entries must be finite")
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
     norms = _frob_norms(ts)
     non_hermitian = _frob_norms(ts - ts.conj().swapaxes(-1, -2)) > tol * norms
+    return non_hermitian, tol * np.maximum(1.0, norms)
+
+
+def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
+
+    The values are those ``classify_hermitian`` reports, from ``_tolerance_rule`` and one
+    batched ``eigh``: lambda_min is NaN where the Hermiticity test fails. A matrix is
+    positive definite iff lambda_min > threshold and positive semidefinite iff
+    lambda_min >= -threshold (both false for NaN).
+    """
+    ts = np.asarray(ts, dtype=_COMPLEX)
+    non_hermitian, threshold = _tolerance_rule(ts, tol)
     lam = np.linalg.eigh(hermitian_part(ts))[0][:, 0]
-    return np.where(non_hermitian, math.nan, lam), tol * np.maximum(1.0, norms)
+    return np.where(non_hermitian, math.nan, lam), threshold
+
+
+def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
+    """Whether each matrix of a stack is positive definite (``strict``) or semidefinite."""
+    lam, threshold = _lambda_min_stack(stack, tol)
+    return lam > threshold if strict else lam >= -threshold
 
 
 def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
@@ -242,7 +245,7 @@ def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     threshold band), above it is PositiveDefinite.
     """
     t = as_square_matrix(t, "T")
-    non_hermitian, threshold = _tolerance_rule(t, tol)
+    (non_hermitian,), (threshold,) = _tolerance_rule(t[None], tol)
     if non_hermitian:
         w, v = np.linalg.eigh(1j * skew_part(t))
         idx = int(np.argmax(np.abs(w)))

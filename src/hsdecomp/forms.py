@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     PositivityClass,
+    _positive,
     as_square_matrix,
     classify_hermitian,
     frob_inner,
@@ -122,15 +123,15 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     for i, (a, b) in enumerate(zip(a_list, b_list)):
         if a.shape[0] != dim or b.shape[0] != dim:
             raise InputError(f"factor pair {i} has inconsistent dimension")
-    for i, a in enumerate(a_list):
-        report = classify_hermitian(a, tol)
-        if not report.is_psd:
-            raise HypothesisViolatedError(
-                f"left factor {i} is not positive semidefinite "
-                f"(classifies {report.kind.value})",
-                index=i,
-                reason="left factor not PSD",
-            )
+    bad = np.flatnonzero(~_positive(np.stack(a_list), tol, strict=False))
+    if bad.size:
+        i = int(bad[0])
+        raise HypothesisViolatedError(
+            f"left factor {i} is not positive semidefinite "
+            f"(classifies {classify_hermitian(a_list[i], tol).kind.value})",
+            index=i,
+            reason="left factor not PSD",
+        )
     stacked = np.vstack(a_list)
     svals = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
@@ -140,15 +141,15 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
             index=None,
             reason="joint kernel nontrivial",
         )
-    for i, b in enumerate(b_list):
-        report = classify_hermitian(b, tol)
-        if not report.is_pd:
-            raise HypothesisViolatedError(
-                f"right factor {i} is not positive definite "
-                f"(classifies {report.kind.value})",
-                index=i,
-                reason="right factor not PD",
-            )
+    bad = np.flatnonzero(~_positive(np.stack(b_list), tol))
+    if bad.size:
+        i = int(bad[0])
+        raise HypothesisViolatedError(
+            f"right factor {i} is not positive definite "
+            f"(classifies {classify_hermitian(b_list[i], tol).kind.value})",
+            index=i,
+            reason="right factor not PD",
+        )
     return Form(LRSum.from_pairs(zip(a_list, b_list), dim))
 
 

@@ -28,6 +28,8 @@ from .core import (
     _frob_norms,
     _hermitian_units,
     _lambda_min_stack,
+    _positive,
+    _tolerance_rule,
     as_square_matrix,
     classify_hermitian,
     frob_norm,
@@ -144,20 +146,6 @@ class _Tracer:
         return DecompositionTrace(tuple(self._steps))
 
 
-def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
-    """Whether each matrix of a stack is positive definite (``strict``) or semidefinite."""
-    lam, threshold = _lambda_min_stack(stack, tol)
-    return lam > threshold if strict else lam >= -threshold
-
-
-def _is_pd(x, tol: float) -> bool:
-    return bool(_positive(np.asarray(x)[None], tol)[0])
-
-
-def _lambda_min(x) -> float:
-    return float(np.linalg.eigvalsh(hermitian_part(x))[0])
-
-
 def _nonvanishing_vector(x: np.ndarray, tol: float) -> tuple[np.ndarray, complex]:
     """Unit vector f with <f, x f> != 0, preferring the extreme Hermitian direction.
 
@@ -251,12 +239,13 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     f0, alpha = _nonvanishing_vector(b, tol)
     a_hat = alpha * a
     b_hat = b / alpha
+    lam_a, lam_b = _lambda_min_stack(np.stack([a_hat, b_hat]), tol)[0].tolist()
     tracer.add(
         "rescale",
         f0=f0,
         alpha=alpha,
-        lambda_min_a=_lambda_min(a_hat),
-        lambda_min_b=_lambda_min(b_hat),
+        lambda_min_a=lam_a,
+        lambda_min_b=lam_b,
     )
     return a_hat, b_hat, tracer.freeze()
 
@@ -322,8 +311,8 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
 
     # stage 1: make both right factors positive definite
     for _ in range(2):
-        bad = [i for i, (_, q) in enumerate(terms) if not _is_pd(q, tol)]
-        if not bad:
+        bad = np.flatnonzero(~_positive(np.stack([q for _, q in terms]), tol))
+        if not bad.size:
             break
         if bad[0] != 0:
             terms.reverse()
@@ -338,7 +327,7 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
             (p2 - (beta2 / beta1) * p1, q2),
         ]
         tracer.add("fold_right", g0=g0, beta1=beta1, beta2=beta2)
-    if not all(_is_pd(q, tol) for _, q in terms):
+    if not _positive(np.stack([q for _, q in terms]), tol).all():
         raise NoProgressError("right factors not positive definite after folding",
                               trace=tracer.freeze())
 
@@ -350,19 +339,20 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
     t0 = pencil_extremes(q2, q1).lambda_min
     t, eps, shrinks = _shrink_offset(
         t0,
-        lambda t_: _is_pd(q2 - t_ * q1, tol) and _is_pd(p1 + t_ * p2, tol),
+        lambda t_: _positive(np.stack([q2 - t_ * q1, p1 + t_ * p2]), tol).all(),
         tracer,
         "right_pencil",
     )
     terms = [(p1 + t * p2, q1), (p2, q2 - t * q1)]
+    lam_a, lam_b = _lambda_min_stack(np.stack([terms[0][0], terms[1][1]]), tol)[0].tolist()
     tracer.add(
         "right_pencil",
         t0=t0,
         t=t,
         eps=eps,
         shrinks=shrinks,
-        lambda_min_combined_a=_lambda_min(terms[0][0]),
-        lambda_min_offset_b=_lambda_min(terms[1][1]),
+        lambda_min_combined_a=lam_a,
+        lambda_min_offset_b=lam_b,
     )
 
     # stage 3: mirrored fix of the remaining left factor
@@ -380,8 +370,9 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         s0 = pencil_extremes(combined, p1).lambda_min
         s_off, eps, shrinks = _shrink_offset(
             s0,
-            lambda s_: _is_pd(q_mixed + s_ * (q2 / delta_u), tol)
-            and _is_pd(combined - s_ * p1, tol),
+            lambda s_: _positive(
+                np.stack([q_mixed + s_ * (q2 / delta_u), combined - s_ * p1]), tol
+            ).all(),
             tracer,
             "left_pencil",
         )
@@ -403,8 +394,8 @@ def diag_blocks(s: LRSum, tol: float = DEFAULT_TOL) -> list[tuple[np.ndarray, An
     bound is at least the operator's.
     """
     m = to_liouville(s)
-    report = classify_hermitian(m, tol)
-    if not report.is_hermitian:
+    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
+    if non_hermitian:
         raise NotSelfadjointError("superoperator is not selfadjoint")
     return [(block, classify_hermitian(block, tol)) for block in left_blocks(m)[:: s.dim + 1]]
 
@@ -489,7 +480,7 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
 
     def stage2_ok(t_: float) -> bool:
         left = gamma11 * (e11 + t_ * e22) + gamma_tail
-        return _is_pd(left, tol) and _is_pd(diag2 - t_ * diag1, tol)
+        return _positive(np.stack([left, diag2 - t_ * diag1]), tol).all()
 
     t, eps, shrinks = _shrink_offset(t0, stage2_ok, tracer, "diag_pencil")
     left_comb = gamma11 * (e11 + t * e22) + gamma_tail
@@ -543,17 +534,20 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     return LRSum(d, tuple(out)), tracer.freeze()
 
 
-def _check_zeta_shape(decomp: LRSum, certificate: ZetaCertificate) -> None:
+def _check_zeta_shape(decomp: LRSum, n_zetas: int) -> None:
+    """Raise InputError unless ``decomp`` is a negative term followed by ``n_zetas`` > 0 others."""
     if not decomp.terms:
         raise InputError("decomposition has no terms")
     if not decomp.has_negative:
         raise InputError("decomposition must have a negative leading term")
     expected = len(decomp.terms) - 1
-    if len(certificate.zetas) != expected:
+    if n_zetas != expected:
         raise InputError(
-            f"certificate length {len(certificate.zetas)} does not match "
+            f"certificate length {n_zetas} does not match "
             f"{expected} non-negative terms"
         )
+    if not expected:
+        raise InputError("decomposition has only its negative term, no non-negative terms")
 
 
 def _factor_stacks(decomp: LRSum) -> tuple[np.ndarray, np.ndarray]:
@@ -601,7 +595,7 @@ def zeta_check(
     Valid iff every b_n - zeta_n b_1 (n >= 2) is positive definite and
     -a_1 + sum_n zeta_n a_n is positive semidefinite, all at ``tol``.
     """
-    _check_zeta_shape(decomp, certificate)
+    _check_zeta_shape(decomp, len(certificate.zetas))
     ok, b_margins, a_margin = _zeta_conditions(
         decomp.terms[0], *_factor_stacks(decomp), np.array(certificate.zetas), tol
     )
@@ -651,9 +645,9 @@ def find_zeta_certificate(
     """
     if max_halvings < 1:
         raise InputError(f"max_halvings must be at least 1, got {max_halvings}")
-    _check_zeta_shape(decomp, ZetaCertificate((1.0,) * (len(decomp.terms) - 1)))
+    _check_zeta_shape(decomp, len(decomp.terms) - 1)
     lead = decomp.terms[0]
-    if not _is_pd(lead.b, tol):
+    if not _positive(lead.b[None], tol)[0]:
         return None
     a_n, b_n = _factor_stacks(decomp)
     bounds = []

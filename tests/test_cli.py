@@ -207,6 +207,17 @@ def test_zeta_check_infinite_zeta_is_input_error(capsys, monkeypatch):
     assert error["message"] == "zetas must be finite, got [inf, 1.0, 1.0]"
 
 
+def test_zeta_search_on_lone_negative_term_is_input_error(capsys, monkeypatch):
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    text = json.dumps({"dim": 2, "terms": [{"sign": -1, "a": identity, "b": identity}]})
+    code, out, _ = run_cli(["zeta-check"], text, capsys, monkeypatch)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "InputError",
+        "message": "decomposition has only its negative term, no non-negative terms",
+    }
+
+
 def test_counterexample(capsys, monkeypatch):
     rep = run_json(["counterexample", "--t", "0.25"], capsys, monkeypatch)
     assert rep["terms_out"]["dim"] == 2

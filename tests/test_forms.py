@@ -147,6 +147,20 @@ def test_build_inner_product_rejects_non_pd_right():
     assert err.value.index == 1
 
 
+def test_build_inner_product_names_first_failing_factor_and_its_class():
+    """The factor families are checked as stacks; the error still names the first
+    failing factor and its class."""
+    skew = matrix_unit(2, 1, 2)
+    with pytest.raises(HypothesisViolatedError, match=r"^left factor 1 is not positive "
+                       r"semidefinite \(classifies NonHermitian\)$") as err:
+        build_inner_product([I2, skew, np.diag([1.0, -1.0])], [I2, I2, I2])
+    assert err.value.index == 1
+    with pytest.raises(HypothesisViolatedError, match=r"^right factor 0 is not positive "
+                       r"definite \(classifies PsdSingular\)$") as err:
+        build_inner_product([I2, I2], [matrix_unit(2, 1, 1), -I2])
+    assert err.value.index == 0
+
+
 def test_build_inner_product_rejects_length_mismatch():
     with pytest.raises(InputError):
         build_inner_product([I2], [I2, I2])

@@ -175,6 +175,37 @@ def test_two_sum_degenerate_term_falls_back():
     assert trace.has("one_sum_fallback") or all(is_psd(t.a) for t in signed.terms)
 
 
+def replay_two_sum(terms, trace) -> dict:
+    """The two terms after each step of a ``two_sum_pd`` trace, replayed with its recorded
+    scalars only, keyed by step name."""
+    cur = [tuple(terms[0]), tuple(terms[1])]
+    states = {}
+    for step in trace.steps:
+        if step.name == "swap":
+            cur.reverse()
+        elif step.name == "fold_right":
+            (p1, q1), (p2, q2) = cur
+            be1, be2 = step.data["beta1"], step.data["beta2"]
+            g0 = step.data["g0"]
+            assert complex(g0.conj() @ p1 @ g0) == pytest.approx(be1, abs=1e-10)
+            cur = [(p1 / be1, be1 * q1 + be2 * q2), (p2 - (be2 / be1) * p1, q2)]
+        elif step.name == "right_pencil" and "t" in step.data:
+            (p1, q1), (p2, q2) = cur
+            t = step.data["t"]
+            cur = [(p1 + t * p2, q1), (p2, q2 - t * q1)]
+        elif step.name == "fold_left":
+            (p1, q1), (p2, q2) = cur
+            du, dg = step.data["delta_u"], step.data["delta_g"]
+            combined = du * p2 + dg * p1
+            cur = [(p1, q1 - (dg / du) * q2), (combined, q2 / du)]
+        elif step.name == "left_pencil" and "s" in step.data:
+            (p1, q1), (p2, q2) = cur
+            s = step.data["s"]
+            cur = [(p1, q1 + s * q2), (p2 - s * p1, q2)]
+        states[step.name] = cur
+    return states
+
+
 def test_two_sum_trace_replay():
     rng = np.random.default_rng(35)
     for _ in range(10):
@@ -185,33 +216,56 @@ def test_two_sum_trace_replay():
         signed, trace = two_sum_pd(terms[0][0], terms[0][1], terms[1][0], terms[1][1])
         if trace.has("one_sum_fallback"):
             continue
-        # replay the recorded stages with recorded scalars only
-        cur = [tuple(terms[0]), tuple(terms[1])]
-        for step in trace.steps:
-            if step.name == "swap":
-                cur.reverse()
-            elif step.name == "fold_right":
-                (p1, q1), (p2, q2) = cur
-                be1, be2 = step.data["beta1"], step.data["beta2"]
-                g0 = step.data["g0"]
-                assert complex(g0.conj() @ p1 @ g0) == pytest.approx(be1, abs=1e-10)
-                cur = [(p1 / be1, be1 * q1 + be2 * q2), (p2 - (be2 / be1) * p1, q2)]
-            elif step.name == "right_pencil" and "t" in step.data:
-                (p1, q1), (p2, q2) = cur
-                t = step.data["t"]
-                cur = [(p1 + t * p2, q1), (p2, q2 - t * q1)]
-            elif step.name == "fold_left":
-                (p1, q1), (p2, q2) = cur
-                du, dg = step.data["delta_u"], step.data["delta_g"]
-                combined = du * p2 + dg * p1
-                cur = [(p1, q1 - (dg / du) * q2), (combined, q2 / du)]
-            elif step.name == "left_pencil" and "s" in step.data:
-                (p1, q1), (p2, q2) = cur
-                s = step.data["s"]
-                cur = [(p1, q1 + s * q2), (p2 - s * p1, q2)]
+        cur = replay_two_sum(terms, trace)[trace.steps[-1].name]
         for replayed, produced in zip(cur, signed.terms):
             np.testing.assert_allclose(replayed[0], produced.a, atol=1e-10)
             np.testing.assert_allclose(replayed[1], produced.b, atol=1e-10)
+
+
+def scrambled_pairs(rng, d, kind):
+    """Two PD pairs, the first scaled by (c, 1/c): real symmetric factors with c = -3, or
+    complex ones with a complex c; "mirror" transposes the complex pairs as --mirror does."""
+    pairs = [(random_pd(rng, d), random_pd(rng, d)) for _ in range(2)]
+    if kind == "real":
+        pairs = [(a.real, b.real) for a, b in pairs]
+    c = -3.0 if kind == "real" else complex(*rng.standard_normal(2))
+    terms = [(c * pairs[0][0], pairs[0][1] / c), pairs[1]]
+    return [(b.T, a.T) for a, b in terms] if kind == "mirror" else terms
+
+
+def same_bits(x, y) -> bool:
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mirror"])
+def test_trace_lambda_min_fields_match_classify_bitwise(kind):
+    """The lambda_min_* trace fields are classify_hermitian's lambda_min of the factors they
+    name; mirrored factors are column-major, as the CLI's --mirror hands them over."""
+    rng = np.random.default_rng(["real", "complex", "mirror"].index(kind) + 37)
+    for _ in range(10):
+        d = int(rng.integers(2, 6))
+        terms = scrambled_pairs(rng, d, kind)
+        a_hat, b_hat, trace = one_sum_positive(*terms[0])
+        data = trace.step("rescale").data
+        assert same_bits(data["lambda_min_a"], classify_hermitian(a_hat).lambda_min)
+        assert same_bits(data["lambda_min_b"], classify_hermitian(b_hat).lambda_min)
+
+        signed, trace = two_sum_pd(*terms[0], *terms[1])
+        data = trace.step("right_pencil").data
+        (combined_a, _), (_, offset_b) = replay_two_sum(terms, trace)["right_pencil"]
+        assert combined_a.tobytes() == signed.terms[0].a.tobytes()
+        assert same_bits(data["lambda_min_combined_a"], classify_hermitian(combined_a).lambda_min)
+        assert same_bits(data["lambda_min_offset_b"], classify_hermitian(offset_b).lambda_min)
+        assert min(data["lambda_min_combined_a"], data["lambda_min_offset_b"]) > 0
+
+
+def test_one_and_two_sum_make_no_eigvalsh_call(monkeypatch):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    terms = scrambled_pairs(np.random.default_rng(40), 3, "complex")
+    one_sum_positive(*terms[0])
+    two_sum_pd(*terms[0], *terms[1])
 
 
 # ---------------------------------------------------------------- diag blocks
@@ -246,6 +300,21 @@ def test_diag_blocks_rejects_non_hermitian():
     s = LRSum.from_pairs([(matrix_unit(2, 1, 2), matrix_unit(2, 1, 2))], 2)
     with pytest.raises(NotSelfadjointError):
         diag_blocks(s)
+
+
+def test_diag_blocks_work_counts(monkeypatch):
+    """One eigh per diagonal block; the d^2 x d^2 Liouville matrix is only tested for
+    Hermiticity, and a non-selfadjoint input is refused before any eigensolve."""
+    d = 4
+    s = psd_sum(np.random.default_rng(49), d, 3)
+    counts = count_linalg(monkeypatch, "eigh")
+    assert len(diag_blocks(s)) == d
+    assert counts["eigh"] == d
+    counts["eigh"] = 0
+    s = LRSum.from_pairs([(matrix_unit(d, 1, 2), matrix_unit(d, 1, 2))], d)
+    with pytest.raises(NotSelfadjointError):
+        diag_blocks(s)
+    assert counts["eigh"] == 0
 
 
 def test_diag_blocks_glb_bound_random():
@@ -414,6 +483,20 @@ def test_zeta_check_shape_errors():
         zeta_check(all_plus, ZetaCertificate((1.0,)))
     with pytest.raises(InputError):
         ZetaCertificate((0.0,))
+
+
+def test_zeta_search_shape_errors_name_the_decomposition():
+    """The search is given no certificate, so its shape errors speak of the decomposition;
+    zeta_check keeps reporting the certificate length."""
+    with pytest.raises(InputError, match="^decomposition has no terms$"):
+        find_zeta_certificate(SignedLRSum(2, ()))
+    lone = SignedLRSum(2, (SignedTerm(-1, I2, I2),))
+    with pytest.raises(
+        InputError, match="^decomposition has only its negative term, no non-negative terms$"
+    ):
+        find_zeta_certificate(lone)
+    with pytest.raises(InputError, match="^certificate length 1 does not match 0 non-negative"):
+        zeta_check(lone, ZetaCertificate((1.0,)))
 
 
 def test_zeta_transform_scalar():
