@@ -426,6 +426,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     command = args.command
     try:
+        if not args.tol > 0:
+            raise InputError(f"tol must be positive, got {args.tol}")
+        if args.tol == float("inf"):
+            raise InputError(f"tol must be finite, got {args.tol}")
         report = _COMMANDS[command].handler(args)
         # the input of a --mirror command was transposed on loading
         out = report["terms_out"]

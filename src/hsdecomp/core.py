@@ -11,11 +11,12 @@ Conventions
   row n, column m, for 1 <= n, m <= d.
 - One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
   (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F))
-  for ``classify_hermitian``, every stacked positivity check and trace
-  ``lambda_min_*`` field (``_lambda_min_stack``, NaN where not Hermitian) and
-  ``diag_blocks``. Not following it yet: the ``pd_decompose`` drop threshold,
-  ``_nonvanishing_vector``, ``_independent_subset``, the one-sum zero and
-  two-sum vanishing-factor tests, and ``selfadjoint_decompose``'s inline test.
+  for ``classify_hermitian``, ``diag_blocks`` and, via ``_lambda_min_stack`` (NaN
+  where not Hermitian), every stacked positivity check, trace ``lambda_min_*`` field,
+  ``classify_form``, ``equivalence_constants`` (``FormClass`` carries no witness)
+  and the one stacked ``build_inner_product`` call. Not yet: the ``pd_decompose``
+  drop threshold, ``_nonvanishing_vector``, ``_independent_subset``, the one-sum
+  zero and two-sum vanishing-factor tests, ``selfadjoint_decompose``'s inline test.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """

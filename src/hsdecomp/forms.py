@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    PositivityClass,
-    _positive,
+    _lambda_min_stack,
     as_square_matrix,
     classify_hermitian,
     frob_inner,
@@ -75,21 +74,26 @@ def eval_form(phi: Form, eta, tau) -> complex:
     return frob_inner(eta, apply_superop(phi.op, tau))
 
 
+def _form_class(m: np.ndarray, tol: float) -> FormClass:
+    """The form class of a Liouville matrix, decided by the stacked positivity rule."""
+    (lam,), (threshold,) = _lambda_min_stack(m[None], tol)
+    if np.isnan(lam):
+        kind = FormKind.GENERAL
+    elif lam > threshold:
+        kind = FormKind.DEFINITE_INNER_PRODUCT
+    else:
+        kind = FormKind.HERMITIAN
+    return FormClass(kind, float(lam))
+
+
 def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
     """Map the representing operator's positivity class to a form class.
 
     NonHermitian -> General, Indefinite -> Hermitian, PSD with kernel ->
     Hermitian (not an inner product: kernel vectors have vanishing form),
-    PositiveDefinite -> DefiniteInnerProduct.
+    PositiveDefinite -> DefiniteInnerProduct. No witness is computed.
     """
-    report = classify_hermitian(to_liouville(phi.op), tol)
-    if report.kind is PositivityClass.NON_HERMITIAN:
-        kind = FormKind.GENERAL
-    elif report.kind is PositivityClass.POSITIVE_DEFINITE:
-        kind = FormKind.DEFINITE_INNER_PRODUCT
-    else:
-        kind = FormKind.HERMITIAN
-    return FormClass(kind, report.lambda_min)
+    return _form_class(to_liouville(phi.op), tol)
 
 
 def form_norm(phi: Form) -> float:
@@ -123,7 +127,8 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     for i, (a, b) in enumerate(zip(a_list, b_list)):
         if a.shape[0] != dim or b.shape[0] != dim:
             raise InputError(f"factor pair {i} has inconsistent dimension")
-    bad = np.flatnonzero(~_positive(np.stack(a_list), tol, strict=False))
+    lam, threshold = _lambda_min_stack(np.stack(a_list + b_list), tol)
+    bad = np.flatnonzero(~(lam >= -threshold)[:len(a_list)])
     if bad.size:
         i = int(bad[0])
         raise HypothesisViolatedError(
@@ -141,7 +146,7 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
             index=None,
             reason="joint kernel nontrivial",
         )
-    bad = np.flatnonzero(~_positive(np.stack(b_list), tol))
+    bad = np.flatnonzero(~(lam > threshold)[len(a_list):])
     if bad.size:
         i = int(bad[0])
         raise HypothesisViolatedError(
@@ -179,16 +184,15 @@ def equivalence_constants(
     second Liouville matrix against the first; pencil eigenvectors,
     unstacked to matrices, attain them.
     """
-    for name, phi in (("first", phi1), ("second", phi2)):
-        fc = classify_form(phi, tol)
+    m1, m2 = to_liouville(phi1.op), to_liouville(phi2.op)
+    for name, m in (("first", m1), ("second", m2)):
+        fc = _form_class(m, tol)
         if not fc.is_inner_product:
             raise NotInnerProductError(
                 f"{name} form classifies {fc.kind.value}, not an inner product"
             )
     if phi1.dim != phi2.dim:
         raise InputError(f"form dimensions disagree: {phi1.dim} vs {phi2.dim}")
-    m1 = to_liouville(phi1.op)
-    m2 = to_liouville(phi2.op)
     ext = pencil_extremes(m2, m1)
     c_lo = float(np.sqrt(max(ext.lambda_min, 0.0)))
     c_hi = float(np.sqrt(max(ext.lambda_max, 0.0)))

@@ -327,9 +327,10 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
             (p2 - (beta2 / beta1) * p1, q2),
         ]
         tracer.add("fold_right", g0=g0, beta1=beta1, beta2=beta2)
-    if not _positive(np.stack([q for _, q in terms]), tol).all():
-        raise NoProgressError("right factors not positive definite after folding",
-                              trace=tracer.freeze())
+    else:  # two folds: test their result; a break has just seen both right factors PD
+        if not _positive(np.stack([q for _, q in terms]), tol).all():
+            raise NoProgressError("right factors not positive definite after folding",
+                                  trace=tracer.freeze())
 
     (p1, q1), (p2, q2) = terms
     if near_zero(p2):

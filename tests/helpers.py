@@ -6,9 +6,11 @@ on basis matrices (no Kronecker products), the inner-product oracle is a
 double loop, and the pencil oracle goes through an explicit inverse
 square root. The zeta references are the per-matrix certificate check and
 search, the independent-subset reference is the one-SVD-per-column rank
-test, ``to_liouville_reference`` is the ``np.kron`` loop, and
-``rows_to_matrix_reference`` is the per-entry wire parser, that the
-library routines must reproduce bit for bit.
+test, ``to_liouville_reference`` is the ``np.kron`` loop,
+``rows_to_matrix_reference`` is the per-entry wire parser, and
+``classify_form_reference`` is the form classifier built on
+``classify_hermitian``, that the library routines must reproduce bit for
+bit.
 """
 
 import math
@@ -16,13 +18,17 @@ import math
 import numpy as np
 
 from hsdecomp import (
+    FormClass,
+    FormKind,
     InputError,
     LRSum,
+    PositivityClass,
     ZetaCertificate,
     apply_superop,
     classify_hermitian,
     matrix_unit,
     pencil_extremes,
+    to_liouville,
     vec,
 )
 
@@ -267,3 +273,42 @@ def count_linalg(monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(np.linalg, name, counting(name))
     return counts
+
+
+def classify_form_reference(phi, tol=1e-9):
+    """The form classifier as one full ``classify_hermitian`` call on the Liouville matrix."""
+    report = classify_hermitian(to_liouville(phi.op), tol)
+    if report.kind is PositivityClass.NON_HERMITIAN:
+        kind = FormKind.GENERAL
+    elif report.kind is PositivityClass.POSITIVE_DEFINITE:
+        kind = FormKind.DEFINITE_INNER_PRODUCT
+    else:
+        kind = FormKind.HERMITIAN
+    return FormClass(kind, report.lambda_min)
+
+
+def build_inner_product_error_reference(a_list, b_list, tol=1e-9):
+    """(message, index, reason) of the first hypothesis ``build_inner_product`` rejects, or None.
+
+    One ``classify_hermitian`` call per factor: left factors PSD, then the stacked
+    rank of the left factors, then right factors PD.
+    """
+    a_list = [np.asarray(a, dtype=COMPLEX) for a in a_list]
+    b_list = [np.asarray(b, dtype=COMPLEX) for b in b_list]
+    for i, a in enumerate(a_list):
+        report = classify_hermitian(a, tol)
+        if not report.is_psd:
+            return (f"left factor {i} is not positive semidefinite "
+                    f"(classifies {report.kind.value})", i, "left factor not PSD")
+    dim = a_list[0].shape[0]
+    svals = np.linalg.svd(np.vstack(a_list), compute_uv=False)
+    rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
+    if rank < dim:
+        return (f"left factors have a joint kernel (stacked rank {rank} < {dim})",
+                None, "joint kernel nontrivial")
+    for i, b in enumerate(b_list):
+        report = classify_hermitian(b, tol)
+        if not report.is_pd:
+            return (f"right factor {i} is not positive definite "
+                    f"(classifies {report.kind.value})", i, "right factor not PD")
+    return None

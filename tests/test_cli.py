@@ -399,3 +399,27 @@ def test_import_loads_no_scipy():
     )
     assert code.returncode == 0, code.stderr
     assert code.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "tol must be positive, got nan"),
+    ("inf", "tol must be finite, got inf"),
+    ("0", "tol must be positive, got 0.0"),
+    ("-1", "tol must be positive, got -1.0"),
+])
+def test_bad_tol_is_reported_as_input_error(tol, message):
+    # counterexample never reads tol; the report must still be a JSON error, not a traceback
+    code = subprocess.run(
+        [sys.executable, "-m", "hsdecomp", "counterexample", "--t", "0.25", f"--tol={tol}"],
+        capture_output=True, text=True,
+    )
+    assert code.returncode == 1
+    assert json.loads(code.stdout)["error"] == {"type": "InputError", "message": message}
+    assert "Traceback" not in code.stderr
+    assert code.stderr == f"hsdecomp counterexample: error: {message}\n"
+
+
+def test_classify_bad_tol_message(capsys, monkeypatch):
+    rep = run_json(["classify", "--in", fixture("identity_d2.json"), "--tol", "-1"],
+                   capsys, monkeypatch, expect=1)
+    assert rep["error"] == {"type": "InputError", "message": "tol must be positive, got -1.0"}

@@ -22,11 +22,26 @@ from hsdecomp import (
     op_norm,
     pd_decompose,
     find_zeta_certificate,
+    pencil_extremes,
     to_liouville,
+    transpose_dual,
     two_sum_pd,
+    unvec,
     zeta_transform,
 )
-from helpers import random_matrix, random_pd, random_psd, rel_err
+from hsdecomp import core, forms, pencil
+from helpers import (
+    build_inner_product_error_reference,
+    classify_form_reference,
+    count_linalg,
+    psd_sum,
+    random_hermitian,
+    random_lrsum,
+    random_matrix,
+    random_pd,
+    random_psd,
+    rel_err,
+)
 
 I2 = np.eye(2, dtype=complex)
 I3 = np.eye(3, dtype=complex)
@@ -271,3 +286,215 @@ def test_definite_form_decomposes_and_transforms():
         assert eval_form(phi_new, eta, tau) == pytest.approx(
             eval_form(phi, eta, tau), abs=1e-9
         )
+
+
+# ------------------------------------------------------------ error paths
+
+
+def general_form(d=2):
+    return Form(LRSum.from_pairs([(matrix_unit(d, 1, d), matrix_unit(d, 1, d))], d))
+
+
+def test_equivalence_names_first_form_when_both_fail():
+    indef = Form(LRSum.from_pairs([(np.diag([1.0, -1.0]), I2)], 2))
+    with pytest.raises(NotInnerProductError,
+                       match=r"^first form classifies Hermitian, not an inner product$"):
+        equivalence_constants(indef, general_form())
+
+
+def test_equivalence_names_second_form_with_its_class():
+    with pytest.raises(NotInnerProductError,
+                       match=r"^second form classifies General, not an inner product$"):
+        equivalence_constants(frobenius_form(2), general_form())
+
+
+def test_equivalence_rejects_mismatched_dimensions():
+    with pytest.raises(InputError, match=r"^form dimensions disagree: 2 vs 3$"):
+        equivalence_constants(frobenius_form(2), frobenius_form(3))
+
+
+def test_build_inner_product_reports_left_factor_before_right():
+    with pytest.raises(HypothesisViolatedError, match=r"^left factor 0 is not positive "
+                       r"semidefinite \(classifies Indefinite\)$") as err:
+        build_inner_product([np.diag([1.0, -1.0]), I2], [I2, matrix_unit(2, 1, 1)])
+    assert err.value.index == 0
+    assert err.value.reason == "left factor not PSD"
+
+
+def test_build_inner_product_reports_joint_kernel_before_right():
+    e11 = matrix_unit(2, 1, 1)
+    with pytest.raises(HypothesisViolatedError, match=r"^left factors have a joint kernel "
+                       r"\(stacked rank 1 < 2\)$") as err:
+        build_inner_product([e11, e11], [I2, -I2])
+    assert err.value.index is None
+    assert err.value.reason == "joint kernel nontrivial"
+
+
+# ------------------------------------------------------------ parity with the full classifier
+
+
+def class_corpus(rng, d, scale=1.0, mirror=False):
+    """LR-sums whose Liouville matrices are PD, PSD-singular, indefinite and non-Hermitian."""
+    signs = np.diag([(-1.0) ** (k + 1) for k in range(d)])  # d = 1: negative definite
+    sums = [
+        psd_sum(rng, d, 2),
+        LRSum.from_pairs([(random_psd(rng, d, d - 1), random_pd(rng, d))], d),
+        LRSum.from_pairs([(signs, random_pd(rng, d)),
+                          (0.01 * random_hermitian(rng, d), random_hermitian(rng, d))], d),
+        random_lrsum(rng, d, 2),
+    ]
+    sums = [LRSum.from_pairs([(scale * t.a, t.b) for t in s.terms], d) for s in sums]
+    return [transpose_dual(s) if mirror else s for s in sums]
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_classify_form_matches_full_classifier_bitwise(d, scale, mirror):
+    rng = np.random.default_rng(500 + d)
+    kinds = set()
+    for s in class_corpus(rng, d, scale, mirror):
+        fc, ref = classify_form(Form(s)), classify_form_reference(Form(s))
+        assert fc.kind is ref.kind
+        assert type(fc.lambda_min) is float
+        assert bits(fc.lambda_min) == bits(ref.lambda_min)
+        kinds.add(fc.kind)
+    assert FormKind.GENERAL in kinds and FormKind.HERMITIAN in kinds
+    if scale >= 1.0:
+        assert FormKind.DEFINITE_INNER_PRODUCT in kinds
+
+
+def equivalence_reference(phi1, phi2, tol=1e-9):
+    for name, phi in (("first", phi1), ("second", phi2)):
+        fc = classify_form_reference(phi, tol)
+        if not fc.is_inner_product:
+            raise NotInnerProductError(
+                f"{name} form classifies {fc.kind.value}, not an inner product"
+            )
+    if phi1.dim != phi2.dim:
+        raise InputError(f"form dimensions disagree: {phi1.dim} vs {phi2.dim}")
+    ext = pencil_extremes(to_liouville(phi2.op), to_liouville(phi1.op))
+    return (float(np.sqrt(max(ext.lambda_min, 0.0))), float(np.sqrt(max(ext.lambda_max, 0.0))),
+            unvec(ext.v_min, phi1.dim), unvec(ext.v_max, phi1.dim))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InputError, NotInnerProductError) as exc:
+        return type(exc), str(exc)
+
+
+def test_equivalence_constants_match_full_classifier_on_corpus():
+    rng = np.random.default_rng(510)
+    forms_by_dim = {d: [Form(s) for s in class_corpus(rng, d) + class_corpus(rng, d, 1e3)]
+                    for d in (2, 3)}
+    pool = forms_by_dim[2] + forms_by_dim[3]
+    accepted = 0
+    for phi1 in pool:
+        for phi2 in pool:
+            got = outcome(equivalence_constants, phi1, phi2)
+            ref = outcome(equivalence_reference, phi1, phi2)
+            if isinstance(ref, tuple) and isinstance(ref[0], type):
+                assert got == ref
+                continue
+            accepted += 1
+            assert bits(got.c_lo) == bits(ref[0]) and bits(got.c_hi) == bits(ref[1])
+            assert got.witness_lo.tobytes() == ref[2].tobytes()
+            assert got.witness_hi.tobytes() == ref[3].tobytes()
+    assert accepted >= 8
+
+
+def factor_corpus(rng, d, count):
+    """Factor families that break each hypothesis of build_inner_product, alone and together."""
+    good_a = [random_psd(rng, d) + 0.05 * np.eye(d) for _ in range(count)]
+    good_b = [random_pd(rng, d) for _ in range(count)]
+    bad_a = [np.diag([1.0] + [-1.0] * (d - 1)), random_matrix(rng, d),
+             random_hermitian(rng, d)]
+    bad_b = [random_psd(rng, d, d - 1), -random_pd(rng, d), random_matrix(rng, d)]
+    kernel = random_psd(rng, d, d - 1)
+    families = [(good_a, good_b)]
+    for i in range(count):
+        for x in bad_a:
+            families.append((good_a[:i] + [x] + good_a[i + 1:], good_b))
+        for y in bad_b:
+            families.append((good_a, good_b[:i] + [y] + good_b[i + 1:]))
+            families.append(([kernel] * count, good_b[:i] + [y] + good_b[i + 1:]))
+            families.append((good_a[:i] + [bad_a[0]] + good_a[i + 1:],
+                             good_b[:i] + [y] + good_b[i + 1:]))
+    families.append(([kernel] * count, good_b))
+    return families
+
+
+def test_build_inner_product_errors_match_full_classifier_on_corpus():
+    rng = np.random.default_rng(520)
+    reasons = set()
+    for d, count in ((2, 1), (2, 3), (3, 2), (4, 3)):
+        for a_list, b_list in factor_corpus(rng, d, count):
+            ref = build_inner_product_error_reference(a_list, b_list)
+            if ref is None:
+                build_inner_product(a_list, b_list)
+                continue
+            with pytest.raises(HypothesisViolatedError) as err:
+                build_inner_product(a_list, b_list)
+            assert type(err.value) is HypothesisViolatedError
+            assert (str(err.value), err.value.index, err.value.reason) == ref
+            reasons.add(ref[2])
+    assert reasons == {"left factor not PSD", "joint kernel nontrivial", "right factor not PD"}
+
+
+# ------------------------------------------------------------ work counts
+
+
+def spy(monkeypatch, targets):
+    """Count calls of each (module, name); returns the live counts by name."""
+    counts = {}
+    for module, name in targets:
+        counts.setdefault(name, 0)
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+FORM_SPIES = ((forms, "to_liouville"), (forms, "classify_hermitian"),
+              (core, "fix_phase"), (pencil, "fix_phase"))
+
+
+def test_equivalence_constants_work_counts(monkeypatch):
+    """Each Liouville matrix is built and decided once; the only phase fixes are the
+    two witnesses of the pencil solve."""
+    rng = np.random.default_rng(530)
+    phi1, phi2 = Form(psd_sum(rng, 4, 3)), Form(psd_sum(rng, 4, 2))
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    calls = spy(monkeypatch, FORM_SPIES)
+    equivalence_constants(phi1, phi2)
+    assert calls == {"to_liouville": 2, "classify_hermitian": 0, "fix_phase": 2}
+    assert linalg == {"eigh": 3, "eigvalsh": 0}
+
+
+def test_build_inner_product_work_counts(monkeypatch):
+    rng = np.random.default_rng(531)
+    a_list = [random_psd(rng, 3) + 0.05 * np.eye(3) for _ in range(3)]
+    b_list = [random_pd(rng, 3) for _ in range(3)]
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    calls = spy(monkeypatch, FORM_SPIES)
+    build_inner_product(a_list, b_list)
+    assert linalg == {"eigh": 1, "eigvalsh": 0}
+    assert calls["classify_hermitian"] == 0
+
+
+def test_classify_form_work_counts(monkeypatch):
+    phi = Form(psd_sum(np.random.default_rng(532), 3, 2))
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    calls = spy(monkeypatch, FORM_SPIES)
+    classify_form(phi)
+    assert calls == {"to_liouville": 1, "classify_hermitian": 0, "fix_phase": 0}
+    assert linalg == {"eigh": 1, "eigvalsh": 0}

@@ -32,6 +32,7 @@ from hsdecomp import (
     zeta_check,
     zeta_transform,
 )
+from hsdecomp import posdecomp
 from hsdecomp.pencil import _pencil_minima
 from hsdecomp.posdecomp import _Tracer, _factor_stacks, _grow_margins, _zeta_conditions
 from hsdecomp.superop import selfadjoint_blocks
@@ -139,6 +140,26 @@ def test_two_sum_scrambled_recovers_structure():
         assert step.data["t"] < step.data["t0"]
         assert step.data["lambda_min_combined_a"] > 0
         assert step.data["lambda_min_offset_b"] > 0
+
+
+def test_two_sum_tests_pd_right_factors_once(monkeypatch):
+    """Right factors PD from the start: stage 1 breaks on its first test and does
+    not test the same stack again after its loop."""
+    rng = np.random.default_rng(35)
+    a1, b1, a2, b2 = (random_pd(rng, 3) for _ in range(4))
+    stacks = []
+    positive = posdecomp._positive
+
+    def spy(stack, *args, **kwargs):
+        stacks.append(np.array(stack))
+        return positive(stack, *args, **kwargs)
+
+    monkeypatch.setattr(posdecomp, "_positive", spy)
+    signed, trace = two_sum_pd(a1, b1, a2, b2)
+    check_two_sum_output(signed, to_liouville(LRSum.from_pairs([(a1, b1), (a2, b2)], 3)))
+    assert not trace.has("fold_right")
+    assert np.array_equal(stacks[0], np.stack([b1, b2]))
+    assert len({s.tobytes() for s in stacks}) == len(stacks)
 
 
 def test_two_sum_gauge_mixed():
