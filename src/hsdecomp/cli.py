@@ -416,10 +416,27 @@ def _emit_error(args, exc: Exception, command: str) -> None:
     print(f"hsdecomp {command}: error: {exc}", file=sys.stderr)
 
 
+def _glue_float_values(argv: list[str]) -> list[str]:
+    """Write ``--tol -inf`` as ``--tol=-inf``: argparse takes a dash-led word that is not a
+    plain negative number, such as ``-inf`` or ``-nan``, for an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--tol", "--t") and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_float_values(sys.argv[1:] if argv is None else argv))
     except InputError as exc:
         print(f"hsdecomp: error: {exc}", file=sys.stderr)
         return 1

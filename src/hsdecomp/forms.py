@@ -4,8 +4,8 @@ Every continuous sesquilinear form is tr(eta* A tau) for a superoperator
 A, with the form Hermitian / an inner product / a definite inner product
 exactly when A is selfadjoint / positive / positive definite. In finite
 dimension positive and positive definite coincide for everywhere-defined
-operators, so the classifier reports DefiniteInnerProduct for definite
-operators and never a bare InnerProduct; a PSD operator with kernel is
+operators, so ``FormKind`` has no bare inner-product kind: definite
+operators give DefiniteInnerProduct, and a PSD operator with kernel is
 only Hermitian (some nonzero eta has zero form value).
 """
 
@@ -44,7 +44,6 @@ __all__ = [
 class FormKind(enum.Enum):
     GENERAL = "General"
     HERMITIAN = "Hermitian"
-    INNER_PRODUCT = "InnerProduct"
     DEFINITE_INNER_PRODUCT = "DefiniteInnerProduct"
 
 
@@ -55,7 +54,7 @@ class FormClass:
 
     @property
     def is_inner_product(self) -> bool:
-        return self.kind in (FormKind.INNER_PRODUCT, FormKind.DEFINITE_INNER_PRODUCT)
+        return self.kind is FormKind.DEFINITE_INNER_PRODUCT
 
 
 @dataclass(frozen=True, slots=True)

@@ -621,6 +621,29 @@ def zeta_transform(
     return LRSum.from_pairs([(combined, lead.b), *zip(a_n, b_diffs)], decomp.dim)
 
 
+def _misses_at_ray_limit(lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, bounds: np.ndarray,
+                         max_halvings: int, tol: float) -> bool:
+    """Whether the a-condition fails at every zeta = (1 - 2^-k) bounds, k <= max_halvings.
+
+    The argument and the slack are given in ``find_zeta_certificate``. False (undecided)
+    when the limit margin is NaN or within the slack, or when a matrix at the limit is not
+    finite; then the walk runs and raises any InputError it would.
+    """
+    zetas = (1.0 - 2.0**-max_halvings) * bounds
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are tested below
+        combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
+        ray_sum = (bounds[:, None, None] * a_n).sum(axis=0)
+    if not (np.isfinite(combined).all() and np.isfinite(ray_sum).all()
+            and np.isfinite(b_diffs).all()):
+        return False
+    (a_margin, s_margin), _ = _lambda_min_stack(np.stack([combined, ray_sum]), tol)
+    scale = frob_norm(lead.a) + float(zetas @ _frob_norms(a_n))
+    rounding = 8.0 * (len(a_n) + len(lead.a)) * np.finfo(float).eps * scale
+    # a NaN s_margin (S not Hermitian) makes the slack NaN and leaves the miss undecided
+    slack = tol * max(1.0, scale + rounding) + np.maximum(0.0, -s_margin) + rounding
+    return bool(a_margin < -slack)
+
+
 def find_zeta_certificate(
     decomp: LRSum, tol: float = DEFAULT_TOL, max_halvings: int = 20
 ) -> ZetaCertificate | None:
@@ -629,15 +652,26 @@ def find_zeta_certificate(
     For each non-negative term the pencil of b_n against b_1 bounds the
     feasible zeta_n from above; the search walks zeta_n = (1 - 2^-k) of
     that bound for k = 1..max_halvings and returns the first certificate
-    that validates, or None. Larger zetas only help the remaining
-    condition (the left factors are PSD for decompositions produced
-    here), so failure along this ray means the search family is
-    exhausted; it does not prove that no certificate exists.
+    that validates, or None. Failure along this ray means the search
+    family is exhausted; it does not prove that no certificate exists.
 
     All bounds come from one shared-base pencil solve against b_1. At each
     k the a-condition (one d x d matrix) is tested first and the stacked
     b-conditions only when it holds. The result is the one a loop of
     ``zeta_check`` over k would return.
+
+    A miss is decided at the end of the ray once k = 1 has failed. Every
+    candidate's a-matrix is -a_1 + c_k S, with c_k = 1 - 2^-k and the ray sum
+    S = sum bounds_n a_n. When S is PSD (the left factors of decompositions
+    produced here are) lambda_min cannot fall as k grows, so one stacked
+    ``eigh`` of the limit's a-matrix and S settles the search: the walk is
+    skipped when the limit margin is below minus a slack. The slack is the
+    largest threshold any k could use, tol max(1, ||a_1||_F + sum
+    zeta_n ||a_n||_F) at the limit zetas, plus the negative part of
+    lambda_min(S), plus the rounding of the sums and of ``eigh``, 8 (N + d) u
+    times that norm sum, for N non-negative terms. In every other case (a NaN
+    margin, a limit that passes or a margin within the slack) the walk runs,
+    so a certificate and an undecided miss come out as before.
 
     Raises
     ------
@@ -661,6 +695,10 @@ def find_zeta_certificate(
         candidate = ZetaCertificate(tuple((1.0 - 2.0**-k) * bounds))
         if _zeta_conditions(lead, a_n, b_n, np.array(candidate.zetas), tol, a_first=True)[0]:
             return candidate
+        if k == 1 and max_halvings > 1 and _misses_at_ray_limit(
+            lead, a_n, b_n, bounds, max_halvings, tol
+        ):
+            return None
     return None
 
 

@@ -419,6 +419,21 @@ def test_bad_tol_is_reported_as_input_error(tol, message):
     assert code.stderr == f"hsdecomp counterexample: error: {message}\n"
 
 
+@pytest.mark.parametrize("spelling", [
+    ["--tol=-inf"], ["--tol", "-inf"], ["--tol=-nan"], ["--tol", "-nan"],
+], ids=["-inf-glued", "-inf-spaced", "-nan-glued", "-nan-spaced"])
+def test_dash_led_tol_is_reported_in_either_spelling(spelling):
+    # argparse alone reads a spaced -inf or -nan as an unknown option and writes no report
+    code = subprocess.run(
+        [sys.executable, "-m", "hsdecomp", "counterexample", "--t", "0.25", *spelling],
+        capture_output=True, text=True,
+    )
+    message = "tol must be positive, got " + ("-inf" if "inf" in spelling[-1] else "nan")
+    assert code.returncode == 1
+    assert json.loads(code.stdout)["error"] == {"type": "InputError", "message": message}
+    assert code.stderr == f"hsdecomp counterexample: error: {message}\n"
+
+
 def test_classify_bad_tol_message(capsys, monkeypatch):
     rep = run_json(["classify", "--in", fixture("identity_d2.json"), "--tol", "-1"],
                    capsys, monkeypatch, expect=1)

@@ -595,6 +595,21 @@ def a_passes_b_fails_fixture():
     ))
 
 
+def ray_window_fixture():
+    """The ray sum S = diag(1/0.7, -1/0.9) is indefinite: -a_1 + c S is PSD only for
+    c in [0.7, 0.9], so the a-condition holds at k = 2 and 3 and fails at the limit."""
+    return SignedLRSum(2, (
+        SignedTerm(-1, np.diag([1.0, -1.0]), I2), SignedTerm(1, np.diag([1 / 0.7, -1 / 0.9]), I2),
+    ))
+
+
+def near_threshold_fixture():
+    """At 20 halvings the limit a-matrix is about -5e-9 I: below its threshold 1e-9, but
+    within the slack, which scales with ||a_1||_F + zeta ||a_2||_F (about 2.8e3)."""
+    x = (1 - 2.0**-20) * 1e3 + 5e-9
+    return SignedLRSum(2, (SignedTerm(-1, x * I2, I2), SignedTerm(1, 1e3 * I2, I2)))
+
+
 def zeta_corpus():
     rng = np.random.default_rng(45)
     for d in (2, 3, 4, 5):
@@ -603,9 +618,13 @@ def zeta_corpus():
             m = np.eye(d * d) + rng.uniform(0.02, 0.1) * h / np.linalg.norm(h)
             yield "near-identity", pd_decompose(from_liouville(m, "left"))[0]
         yield "psd-sum", pd_decompose(psd_sum(rng, d, d * d))[0]
+    for _ in range(2):
+        yield "psd-sum-d8", pd_decompose(psd_sum(rng, 8, 64))[0]
     for t in (0.1, 0.25, 0.4):
         yield "counterexample", pd_decompose(counterexample_superop(t))[0]
     yield "a-passes-b-fails", a_passes_b_fails_fixture()
+    yield "ray-window", ray_window_fixture()
+    yield "near-threshold", near_threshold_fixture()
 
 
 def test_zeta_search_matches_reference():
@@ -619,8 +638,28 @@ def test_zeta_search_matches_reference():
                 assert np.array(cert.zetas).tobytes() == np.array(ref.zetas).tobytes()
         outcomes.setdefault(label, []).append(cert is not None)
     assert all(outcomes["near-identity"])
-    assert not any(outcomes["counterexample"] + outcomes["psd-sum"][1:])
+    assert not any(outcomes["counterexample"] + outcomes["psd-sum"][1:] + outcomes["psd-sum-d8"])
     assert outcomes["a-passes-b-fails"] == [False]
+    assert outcomes["ray-window"] == [True]
+    assert outcomes["near-threshold"] == [False]
+
+
+def test_ray_window_certificate_is_found_by_the_walk():
+    cert = find_zeta_certificate(ray_window_fixture())
+    assert cert is not None and cert.zetas == (0.75,)
+    assert find_zeta_certificate(ray_window_fixture(), max_halvings=1) is None
+    assert not zeta_check(ray_window_fixture(), ZetaCertificate((1 - 2.0**-20,))).ok
+
+
+def test_near_threshold_miss_is_left_to_the_walk(monkeypatch):
+    """The limit fails its own test, but within the slack: the search walks all 20 halvings,
+    one eigh each after the lead check, the pencil, k = 1 and the limit check."""
+    signed = near_threshold_fixture()
+    limit = zeta_check(signed, ZetaCertificate((1 - 2.0**-20,)))
+    assert -1e-8 < limit.a_margin < -1e-9 and not limit.ok
+    counts = count_linalg(monkeypatch, "eigh")
+    assert find_zeta_certificate(signed) is None
+    assert counts["eigh"] == 3 + 1 + 19
 
 
 def test_a_passes_b_fails_fixture_exercises_both_branches():
@@ -657,15 +696,47 @@ def test_non_finite_zeta_difference_is_input_error():
             _zeta_conditions(decomp.terms[0], a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
 
 
+def test_overflow_at_the_ray_limit_is_left_to_the_walk():
+    """zeta a_2 overflows at the limit (about 1.5 * 1.3e308) but not at k = 2, where the
+    walk finds the certificate (its Frobenius norm overflows, as in the reference, so the
+    threshold is infinite): the limit check must leave the search to the walk, not raise."""
+    alpha = 1.3e308
+    signed = SignedLRSum(2, (
+        SignedTerm(-1, np.diag([0.75 * alpha, 1.0]), I2),
+        SignedTerm(1, np.diag([alpha, 0.0]), 1.5 * I2),
+    ))
+    with np.errstate(over="ignore"):
+        cert = find_zeta_certificate(signed)
+        assert cert == find_zeta_certificate_reference(signed) == ZetaCertificate((1.125,))
+
+
 def test_zeta_search_work_counts(monkeypatch):
     """Counts, not wall time: a search with no certificate makes at most
-    2 eigh calls per halving plus 2, and factors the base b_1 once."""
+    2 eigh calls per halving plus 2, and factors the base b_1 once. This is
+    the bound of the full walk; a miss that the ray-limit check decides
+    makes far fewer (see the test below)."""
     signed, _ = pd_decompose(psd_sum(np.random.default_rng(47), 4, 16))
     counts = count_linalg(monkeypatch, "eigh", "cholesky")
     max_halvings = 20
     assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
     assert counts["eigh"] <= 2 * max_halvings + 2
     assert counts["cholesky"] == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: counterexample_superop(0.25),
+    lambda: psd_sum(np.random.default_rng(50), 8, 64),
+], ids=["counterexample", "psd-sum-d8"])
+def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
+    """Counts, not wall time: a miss decided at the end of the ray makes 4 eigh calls
+    (lead b_1, the shared pencil, k = 1, the limit with the ray sum) and one cholesky,
+    however many halvings the ray has."""
+    signed, _ = pd_decompose(make())
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
+    for max_halvings in (20, 60):
+        counts.update(eigh=0, cholesky=0)
+        assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
+        assert counts == {"eigh": 4, "cholesky": 1}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
