@@ -417,11 +417,12 @@ def _emit_error(args, exc: Exception, command: str) -> None:
 
 
 def _glue_float_values(argv: list[str]) -> list[str]:
-    """Write ``--tol -inf`` as ``--tol=-inf``: argparse takes a dash-led word that is not a
-    plain negative number, such as ``-inf`` or ``-nan``, for an unknown option."""
+    """Write ``--tol -inf`` as ``--tol=-inf``, after any long option or abbreviation: argparse
+    takes a dash-led word that is not a plain negative number, such as ``-inf``, for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--tol", "--t") and arg.startswith("-"):
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and prev != "--" and "=" not in prev and arg.startswith("-"):
             try:
                 float(arg)
             except ValueError:

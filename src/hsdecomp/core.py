@@ -10,13 +10,13 @@ Conventions
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
 - One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
-  (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F))
-  for ``classify_hermitian``, ``diag_blocks`` and, via ``_lambda_min_stack`` (NaN
-  where not Hermitian), every stacked positivity check, trace ``lambda_min_*`` field,
-  ``classify_form``, ``equivalence_constants`` (``FormClass`` carries no witness)
-  and the one stacked ``build_inner_product`` call. Not yet: the ``pd_decompose``
-  drop threshold, ``_nonvanishing_vector``, ``_independent_subset``, the one-sum
-  zero and two-sum vanishing-factor tests, ``selfadjoint_decompose``'s inline test.
+  (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F));
+  ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
+  the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``.
+  Only ``classify_superop`` and ``diag_blocks`` call ``classify_hermitian`` (for its
+  witness and kernel); the rest read ``_lambda_min_stack`` (NaN where not Hermitian). Not
+  yet: the ``pd_decompose`` drop threshold, ``_nonvanishing_vector``, ``_independent_subset``,
+  the one-sum zero and two-sum vanishing-factor tests, ``selfadjoint_decompose``'s inline test.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -201,19 +201,34 @@ def _frob_norms(ts: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
+def _hypot_norms(ts: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``norms`` of the stack ``ts``, each infinite one (a sum of squares that overflowed)
+    taken again by ``np.hypot``, which squares nothing."""
+    big = np.isinf(norms)
+    norms[big] = np.hypot.reduce(np.abs(ts[big]).reshape(-1, ts[0].size), axis=1)
+    return norms
+
+
 def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The positivity rule on a complex (k, n, n) stack: (non_hermitian, threshold) per matrix.
 
     T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its eigenvalues are
-    thresholded at tol * max(1, ||T||_F). Non-finite entries are reported before a bad tol.
+    thresholded at tol * max(1, ||T||_F). Non-finite entries are reported before a bad tol,
+    and a bad tol before a norm beyond the float range.
     """
-    if not np.isfinite(ts).all():
-        raise InputError("T: entries must be finite")
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    norms = _frob_norms(ts)
-    non_hermitian = _frob_norms(ts - ts.conj().swapaxes(-1, -2)) > tol * norms
-    return non_hermitian, tol * np.maximum(1.0, norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms are sorted out below
+        skew = ts - ts.conj().swapaxes(-1, -2)
+        norms, defects = _frob_norms(ts), _frob_norms(skew)
+        finite = np.isfinite(norms + defects).all()
+        if not finite and not np.isfinite(ts).all():
+            raise InputError("T: entries must be finite")
+        if not tol > 0:
+            raise InputError(f"tol must be positive, got {tol}")
+        if not finite:
+            norms, defects = _hypot_norms(ts, norms), _hypot_norms(skew, defects)
+            if not (np.isfinite(norms).all() and np.isfinite(defects).all()):
+                raise InputError("T: Frobenius norm exceeds the float range")
+    return defects > tol * norms, tol * np.maximum(1.0, norms)
 
 
 def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,6 +251,17 @@ def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
     return lam > threshold if strict else lam >= -threshold
 
 
+def _positivity_class(lam: float, threshold: float) -> PositivityClass:
+    """The class of a matrix from its lambda_min (NaN when not Hermitian) and threshold."""
+    if math.isnan(lam):
+        return PositivityClass.NON_HERMITIAN
+    if lam < -threshold:
+        return PositivityClass.INDEFINITE
+    if lam <= threshold:
+        return PositivityClass.PSD_SINGULAR
+    return PositivityClass.POSITIVE_DEFINITE
+
+
 def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     """Classify a matrix as NonHermitian / Indefinite / PsdSingular / PositiveDefinite.
 
@@ -249,18 +275,10 @@ def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     (non_hermitian,), (threshold,) = _tolerance_rule(t[None], tol)
     if non_hermitian:
         w, v = np.linalg.eigh(1j * skew_part(t))
-        idx = int(np.argmax(np.abs(w)))
-        return PositivityReport(
-            PositivityClass.NON_HERMITIAN, math.nan, 0, fix_phase(v[:, idx])
-        )
-    w, v = np.linalg.eigh(hermitian_part(t))
-    lam = float(w[0])
-    kernel_dim = int(np.count_nonzero(np.abs(w) <= threshold))
-    witness = fix_phase(v[:, 0])
-    if lam < -threshold:
-        kind = PositivityClass.INDEFINITE
-    elif lam <= threshold:
-        kind = PositivityClass.PSD_SINGULAR
+        lam, kernel_dim, witness = math.nan, 0, v[:, int(np.argmax(np.abs(w)))]
     else:
-        kind = PositivityClass.POSITIVE_DEFINITE
-    return PositivityReport(kind, lam, kernel_dim, witness)
+        w, v = np.linalg.eigh(hermitian_part(t))
+        lam = float(w[0])
+        kernel_dim = int(np.count_nonzero(np.abs(w) <= threshold))
+        witness = v[:, 0]
+    return PositivityReport(_positivity_class(lam, threshold), lam, kernel_dim, fix_phase(witness))

@@ -18,9 +18,10 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    PositivityClass,
     _lambda_min_stack,
+    _positivity_class,
     as_square_matrix,
-    classify_hermitian,
     frob_inner,
     op_norm,
 )
@@ -73,16 +74,18 @@ def eval_form(phi: Form, eta, tau) -> complex:
     return frob_inner(eta, apply_superop(phi.op, tau))
 
 
+_FORM_KINDS = {
+    PositivityClass.NON_HERMITIAN: FormKind.GENERAL,
+    PositivityClass.INDEFINITE: FormKind.HERMITIAN,
+    PositivityClass.PSD_SINGULAR: FormKind.HERMITIAN,
+    PositivityClass.POSITIVE_DEFINITE: FormKind.DEFINITE_INNER_PRODUCT,
+}
+
+
 def _form_class(m: np.ndarray, tol: float) -> FormClass:
-    """The form class of a Liouville matrix, decided by the stacked positivity rule."""
+    """The form class of a Liouville matrix, from the class of its stacked positivity test."""
     (lam,), (threshold,) = _lambda_min_stack(m[None], tol)
-    if np.isnan(lam):
-        kind = FormKind.GENERAL
-    elif lam > threshold:
-        kind = FormKind.DEFINITE_INNER_PRODUCT
-    else:
-        kind = FormKind.HERMITIAN
-    return FormClass(kind, float(lam))
+    return FormClass(_FORM_KINDS[_positivity_class(lam, threshold)], float(lam))
 
 
 def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
@@ -132,7 +135,7 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
         i = int(bad[0])
         raise HypothesisViolatedError(
             f"left factor {i} is not positive semidefinite "
-            f"(classifies {classify_hermitian(a_list[i], tol).kind.value})",
+            f"(classifies {_positivity_class(lam[i], threshold[i]).value})",
             index=i,
             reason="left factor not PSD",
         )
@@ -148,9 +151,10 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     bad = np.flatnonzero(~(lam > threshold)[len(a_list):])
     if bad.size:
         i = int(bad[0])
+        k = len(a_list) + i
         raise HypothesisViolatedError(
             f"right factor {i} is not positive definite "
-            f"(classifies {classify_hermitian(b_list[i], tol).kind.value})",
+            f"(classifies {_positivity_class(lam[k], threshold[k]).value})",
             index=i,
             reason="right factor not PD",
         )

@@ -25,10 +25,12 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
+    PositivityClass,
     _frob_norms,
     _hermitian_units,
     _lambda_min_stack,
     _positive,
+    _positivity_class,
     _tolerance_rule,
     as_square_matrix,
     classify_hermitian,
@@ -212,6 +214,27 @@ def _sum_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.concatenate([first[None], terms]))
 
 
+def _classified(m: np.ndarray, tol: float, strict: bool = True) -> _Tracer:
+    """A tracer holding the "classify" step of the Liouville matrix ``m``.
+
+    Raises NotPositiveDefiniteError unless ``m`` is positive definite (``strict``), or else
+    NotPositiveError when ``m`` is zero or, tested after that, not positive semidefinite.
+    """
+    (lam,), (threshold,) = _lambda_min_stack(m[None], tol)
+    kind = _positivity_class(lam, threshold)
+    tracer = _Tracer()
+    tracer.add("classify", kind=kind.value, lambda_min=float(lam))
+    if not strict and frob_norm(m) <= tol:
+        raise NotPositiveError("superoperator is zero")
+    if strict and kind is not PositivityClass.POSITIVE_DEFINITE:
+        raise NotPositiveDefiniteError(
+            f"superoperator classifies {kind.value}, not positive definite"
+        )
+    if not strict and kind in (PositivityClass.NON_HERMITIAN, PositivityClass.INDEFINITE):
+        raise NotPositiveError(f"superoperator classifies {kind.value}, not positive semidefinite")
+    return tracer
+
+
 def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, DecompositionTrace]:
     """Rescale a one-term PSD superoperator so both factors are PSD.
 
@@ -223,17 +246,7 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     """
     a = as_square_matrix(a, "a")
     b = as_square_matrix(b, "b")
-    s = LRSum.from_pairs([(a, b)])
-    m = to_liouville(s)
-    report = classify_hermitian(m, tol)
-    tracer = _Tracer()
-    tracer.add("classify", kind=report.kind.value, lambda_min=report.lambda_min)
-    if frob_norm(m) <= tol:
-        raise NotPositiveError("superoperator is zero")
-    if not report.is_psd:
-        raise NotPositiveError(
-            f"superoperator classifies {report.kind.value}, not positive semidefinite"
-        )
+    tracer = _classified(to_liouville(LRSum.from_pairs([(a, b)])), tol, strict=False)
     if frob_norm(a) == 0.0 or frob_norm(b) == 0.0:
         raise DegenerateFactorError("zero factor with nonzero superoperator")
     f0, alpha = _nonvanishing_vector(b, tol)
@@ -295,15 +308,7 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         (as_square_matrix(a2, "a2"), as_square_matrix(b2, "b2")),
     ]
     dim = terms[0][0].shape[0]
-    s = LRSum.from_pairs(terms)
-    m = to_liouville(s)
-    report = classify_hermitian(m, tol)
-    tracer = _Tracer()
-    tracer.add("classify", kind=report.kind.value, lambda_min=report.lambda_min)
-    if not report.is_pd:
-        raise NotPositiveDefiniteError(
-            f"superoperator classifies {report.kind.value}, not positive definite"
-        )
+    tracer = _classified(to_liouville(LRSum.from_pairs(terms)), tol)
     factor_scale = max(1.0, max(frob_norm(x) for pair in terms for x in pair))
 
     def near_zero(x) -> bool:
@@ -438,13 +443,7 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
         If any margin or offset search stalls (carries the trace).
     """
     m = to_liouville(s)
-    report = classify_hermitian(m, tol)
-    tracer = _Tracer()
-    tracer.add("classify", kind=report.kind.value, lambda_min=report.lambda_min)
-    if not report.is_pd:
-        raise NotPositiveDefiniteError(
-            f"superoperator classifies {report.kind.value}, not positive definite"
-        )
+    tracer = _classified(m, tol)
     d = s.dim
     if d == 1:
         c = m[0, 0].real
@@ -625,18 +624,20 @@ def _misses_at_ray_limit(lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, bounds:
                          max_halvings: int, tol: float) -> bool:
     """Whether the a-condition fails at every zeta = (1 - 2^-k) bounds, k <= max_halvings.
 
-    The argument and the slack are given in ``find_zeta_certificate``. False (undecided)
-    when the limit margin is NaN or within the slack, or when a matrix at the limit is not
-    finite; then the walk runs and raises any InputError it would.
+    The argument and the slack are given in ``find_zeta_certificate``. False (undecided) when
+    the limit margin is NaN or within the slack, or when a matrix at the limit is not finite
+    or has a norm beyond the float range; then the walk runs and raises any InputError it would.
     """
     zetas = (1.0 - 2.0**-max_halvings) * bounds
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are tested below
         combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
         ray_sum = (bounds[:, None, None] * a_n).sum(axis=0)
-    if not (np.isfinite(combined).all() and np.isfinite(ray_sum).all()
-            and np.isfinite(b_diffs).all()):
+    if not np.isfinite(b_diffs).all():
         return False
-    (a_margin, s_margin), _ = _lambda_min_stack(np.stack([combined, ray_sum]), tol)
+    try:  # the rule rejects combined or ray_sum if not finite or of too large a norm
+        (a_margin, s_margin), _ = _lambda_min_stack(np.stack([combined, ray_sum]), tol)
+    except InputError:
+        return False
     scale = frob_norm(lead.a) + float(zetas @ _frob_norms(a_n))
     rounding = 8.0 * (len(a_n) + len(lead.a)) * np.finfo(float).eps * scale
     # a NaN s_margin (S not Hermitian) makes the slack NaN and leaves the miss undecided

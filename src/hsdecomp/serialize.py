@@ -14,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
-from itertools import chain, compress, repeat
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -43,8 +42,6 @@ def matrix_to_rows(m) -> list:
 
 # float() of an int this large in magnitude or larger overflows: it would round to 2**1024.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
-_PAIRS = "entries must be [re, im] number pairs"
-_FINITE = "entries must be finite"
 
 
 def _is_pair_type(t) -> bool:
@@ -58,12 +55,6 @@ def _is_number_type(t) -> bool:
 def _all_types(items, accept) -> bool:
     """Whether every item's type passes ``accept``, tested once per distinct type."""
     return all(map(accept, set(map(type, items))))
-
-
-def _type_mask(items, accept) -> np.ndarray:
-    types = list(map(type, items))
-    verdict = {t: accept(t) for t in set(types)}
-    return np.fromiter(map(verdict.__getitem__, types), bool, len(types))
 
 
 def _pair_values(entries) -> np.ndarray | None:
@@ -80,29 +71,12 @@ def _pair_values(entries) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _first_bad_entry(entries) -> tuple[int, str]:
-    """Index and message of the first bad entry, derived from masks.
-
-    An entry fails the shape test (a list or tuple of two numbers, no
-    bool) before the finiteness test, so the first entry failing either
-    one is the first that an entry-by-entry scan rejects.
-    """
-    pairs = _type_mask(entries, _is_pair_type)
-    pairs[pairs] = np.fromiter(map(len, compress(entries, pairs)), np.intp) == 2
-    values = list(chain.from_iterable(compress(entries, pairs)))
-    numbers = _type_mask(values, _is_number_type)
-    ints = numbers & _type_mask(values, lambda t: issubclass(t, int))
-    floats = numbers & ~ints
-    finite = np.zeros(len(values), bool)
-    finite[ints] = np.fromiter(
-        map(operator.lt, map(abs, compress(values, ints)), repeat(_FLOAT_OVERFLOW)), bool
-    )
-    finite[floats] = np.isfinite(np.array(list(compress(values, floats)), dtype=np.float64))
-    good = pairs.copy()
-    good[pairs] = finite.reshape(-1, 2).all(axis=1)
-    pairs[pairs] = numbers.reshape(-1, 2).all(axis=1)
-    i = int(np.argmin(good))
-    return i, _FINITE if pairs[i] else _PAIRS
+def _entry_error(entry) -> str | None:
+    """Why one entry is bad, shape and type tested before finiteness, or None if it is good."""
+    if not (_is_pair_type(type(entry)) and len(entry) == 2 and _all_types(entry, _is_number_type)):
+        return "entries must be [re, im] number pairs"
+    finite = (abs(v) < _FLOAT_OVERFLOW if isinstance(v, int) else math.isfinite(v) for v in entry)
+    return None if all(finite) else "entries must be finite"
 
 
 def rows_to_matrix(rows, dim: int | None = None, where: str = "matrix") -> np.ndarray:
@@ -125,7 +99,7 @@ def rows_to_matrix(rows, dim: int | None = None, where: str = "matrix") -> np.nd
     entries = list(chain.from_iterable(rows[:short]))
     values = _pair_values(entries)
     if values is None:
-        i, message = _first_bad_entry(entries)
+        i, message = next((i, e) for i, e in enumerate(map(_entry_error, entries)) if e)
         raise InputError(f"{where}[{i // n}][{i % n}]: {message}")
     if short < n:
         raise InputError(f"{where}: row {short} must have {n} entries")

@@ -9,8 +9,9 @@ search, the independent-subset reference is the one-SVD-per-column rank
 test, ``to_liouville_reference`` is the ``np.kron`` loop,
 ``rows_to_matrix_reference`` is the per-entry wire parser, and
 ``classify_form_reference`` is the form classifier built on
-``classify_hermitian``, that the library routines must reproduce bit for
-bit.
+``classify_hermitian``, and ``classify_step_reference`` is the "classify"
+step of the decompositions built on it, that the library routines must
+reproduce bit for bit.
 """
 
 import math
@@ -22,10 +23,13 @@ from hsdecomp import (
     FormKind,
     InputError,
     LRSum,
+    NotPositiveDefiniteError,
+    NotPositiveError,
     PositivityClass,
     ZetaCertificate,
     apply_superop,
     classify_hermitian,
+    frob_norm,
     matrix_unit,
     pencil_extremes,
     to_liouville,
@@ -275,6 +279,20 @@ def count_linalg(monkeypatch, *names):
     return counts
 
 
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, name) in ``targets``, summed by name; returns the
+    live counts."""
+    counts = {}
+    for module, name in targets:
+        counts.setdefault(name, 0)
+
+        def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
 def classify_form_reference(phi, tol=1e-9):
     """The form classifier as one full ``classify_hermitian`` call on the Liouville matrix."""
     report = classify_hermitian(to_liouville(phi.op), tol)
@@ -312,3 +330,23 @@ def build_inner_product_error_reference(a_list, b_list, tol=1e-9):
             return (f"right factor {i} is not positive definite "
                     f"(classifies {report.kind.value})", i, "right factor not PD")
     return None
+
+
+def classify_step_reference(m, strict=True, tol=1e-9):
+    """(kind, lambda_min) that a decomposition traces as "classify" for the Liouville matrix
+    ``m``, from one ``classify_hermitian`` call, or the error it raises instead.
+
+    Strict (``pd_decompose``, ``two_sum_pd``): positive definite or NotPositiveDefiniteError.
+    Otherwise (``one_sum_positive``): NotPositiveError for a zero ``m`` and then for one that
+    is not PSD, so the zero test wins over a NonHermitian class.
+    """
+    report = classify_hermitian(m, tol)
+    if strict and not report.is_pd:
+        raise NotPositiveDefiniteError(
+            f"superoperator classifies {report.kind.value}, not positive definite")
+    if not strict and frob_norm(m) <= tol:
+        raise NotPositiveError("superoperator is zero")
+    if not strict and not report.is_psd:
+        raise NotPositiveError(
+            f"superoperator classifies {report.kind.value}, not positive semidefinite")
+    return report.kind.value, report.lambda_min

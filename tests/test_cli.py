@@ -421,7 +421,8 @@ def test_bad_tol_is_reported_as_input_error(tol, message):
 
 @pytest.mark.parametrize("spelling", [
     ["--tol=-inf"], ["--tol", "-inf"], ["--tol=-nan"], ["--tol", "-nan"],
-], ids=["-inf-glued", "-inf-spaced", "-nan-glued", "-nan-spaced"])
+    ["--to", "-inf"], ["--to", "-nan"],
+], ids=["-inf-glued", "-inf-spaced", "-nan-glued", "-nan-spaced", "-inf-abbrev", "-nan-abbrev"])
 def test_dash_led_tol_is_reported_in_either_spelling(spelling):
     # argparse alone reads a spaced -inf or -nan as an unknown option and writes no report
     code = subprocess.run(
@@ -432,6 +433,17 @@ def test_dash_led_tol_is_reported_in_either_spelling(spelling):
     assert code.returncode == 1
     assert json.loads(code.stdout)["error"] == {"type": "InputError", "message": message}
     assert code.stderr == f"hsdecomp counterexample: error: {message}\n"
+
+
+def test_classify_reports_a_norm_beyond_the_float_range(capsys, monkeypatch):
+    """The Liouville matrix 1e308 I has finite entries and Frobenius norm 2e308."""
+    big = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+    eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    op = json.dumps({"dim": 2, "terms": [{"a": big, "b": eye}]})
+    rep = run_json(["classify"], capsys, monkeypatch, stdin_text=op, expect=1)
+    assert rep["error"] == {
+        "type": "InputError", "message": "T: Frobenius norm exceeds the float range",
+    }
 
 
 def test_classify_bad_tol_message(capsys, monkeypatch):

@@ -11,7 +11,14 @@ from hsdecomp import (
     matrix_unit,
     op_norm,
 )
-from hsdecomp.core import _frob_norms, _lambda_min_stack, hermitian_part, skew_part
+from hsdecomp.core import (
+    _frob_norms,
+    _lambda_min_stack,
+    _positive,
+    _positivity_class,
+    hermitian_part,
+    skew_part,
+)
 from hsdecomp.superop import left_blocks
 from helpers import (
     frob_inner_loops,
@@ -249,3 +256,52 @@ def test_lambda_min_stack_rejects_bad_tol():
                 _lambda_min_stack(stack, tol)
     with pytest.raises(InputError, match="T: entries must be finite"):
         _lambda_min_stack(np.full((1, 2, 2), np.inf), 0.0)
+
+
+def test_a_norm_whose_square_overflows_keeps_the_rule_scale_covariant():
+    """||T||_F^2 overflows above about 1.3e154, but ||T||_F does not: the threshold stays
+    tol * ||T||_F, so a scaled indefinite matrix stays Indefinite and fails every PSD test."""
+    for scale in (1e150, 1e160, 1e300):
+        t = np.diag([scale, -scale * 1e-5])
+        report = classify_hermitian(t)
+        assert report.kind is PositivityClass.INDEFINITE, scale
+        lam, threshold = _lambda_min_stack(t[None], 1e-9)
+        assert threshold[0] == pytest.approx(1e-9 * scale)
+        assert not _positive(t[None], 1e-9, strict=False)[0]
+    with np.errstate(over="ignore"):  # so the rule takes its overflow path at 1e160
+        assert _frob_norms(np.diag([1e160, -1e155])[None])[0] == np.inf
+
+
+@pytest.mark.parametrize("t", [
+    np.diag([1.5e308, 1.5e308]),
+    np.array([[0.0, 1e308], [-1e308, 0.0]]),  # ||T - T*||_F = 2.8e308
+    np.array([[1e308 + 1e308j, 0.0], [0.0, 0.0]]),
+], ids=["norm", "defect", "complex-defect"])
+def test_a_norm_beyond_the_float_range_is_an_input_error(t):
+    with pytest.raises(InputError, match="T: Frobenius norm exceeds the float range"):
+        classify_hermitian(t)
+    with pytest.raises(InputError, match="T: Frobenius norm exceeds the float range"):
+        _lambda_min_stack(np.stack([np.eye(2), t]), 1e-9)
+    with pytest.raises(InputError, match="tol must be positive"):
+        classify_hermitian(t, 0.0)
+
+
+def test_positivity_class_bands():
+    """NaN is NonHermitian; the closed band [-threshold, threshold] is PsdSingular, and the
+    class agrees with the stacked PD and PSD tests on both sides of each edge."""
+    threshold = 1e-9
+    below, above = np.nextafter(-threshold, -1.0), np.nextafter(threshold, 1.0)
+    expected = {
+        below: PositivityClass.INDEFINITE,
+        -threshold: PositivityClass.PSD_SINGULAR,
+        0.0: PositivityClass.PSD_SINGULAR,
+        threshold: PositivityClass.PSD_SINGULAR,
+        above: PositivityClass.POSITIVE_DEFINITE,
+    }
+    for lam, kind in expected.items():
+        assert _positivity_class(lam, threshold) is kind, lam
+        assert (kind is PositivityClass.POSITIVE_DEFINITE) == (lam > threshold)
+        assert (kind in (PositivityClass.PSD_SINGULAR, PositivityClass.POSITIVE_DEFINITE)) == (
+            lam >= -threshold)
+    assert _positivity_class(np.nan, threshold) is PositivityClass.NON_HERMITIAN
+

@@ -464,7 +464,7 @@ def spy(monkeypatch, targets):
     return counts
 
 
-FORM_SPIES = ((forms, "to_liouville"), (forms, "classify_hermitian"),
+FORM_SPIES = ((forms, "to_liouville"), (core, "classify_hermitian"),
               (core, "fix_phase"), (pencil, "fix_phase"))
 
 

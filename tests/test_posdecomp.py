@@ -32,13 +32,15 @@ from hsdecomp import (
     zeta_check,
     zeta_transform,
 )
-from hsdecomp import posdecomp
+from hsdecomp import core, pencil, posdecomp
 from hsdecomp.pencil import _pencil_minima
 from hsdecomp.posdecomp import _Tracer, _factor_stacks, _grow_margins, _zeta_conditions
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
+    classify_step_reference,
     counterexample_form_oracle,
     counterexample_liouville_oracle,
+    count_calls,
     count_linalg,
     find_zeta_certificate_reference,
     pencil_oracle,
@@ -710,6 +712,19 @@ def test_overflow_at_the_ray_limit_is_left_to_the_walk():
         assert cert == find_zeta_certificate_reference(signed) == ZetaCertificate((1.125,))
 
 
+def test_a_norm_beyond_the_float_range_at_the_ray_limit_is_left_to_the_walk():
+    """The ray sum 1.5e308 I has finite entries but a norm beyond the float range, so the
+    limit check cannot decide; the walk rejects k = 1 (a-matrix diag(0, -1e306)) and finds
+    the certificate at k = 2, as the reference does."""
+    alpha = 1e308
+    signed = SignedLRSum(2, (
+        SignedTerm(-1, np.diag([0.75 * alpha, 0.76 * alpha]), I2),
+        SignedTerm(1, alpha * I2, 1.5 * I2),
+    ))
+    cert = find_zeta_certificate(signed)
+    assert cert == find_zeta_certificate_reference(signed) == ZetaCertificate((1.125,))
+
+
 def test_zeta_search_work_counts(monkeypatch):
     """Counts, not wall time: a search with no certificate makes at most
     2 eigh calls per halving plus 2, and factors the base b_1 once. This is
@@ -754,6 +769,73 @@ def test_pd_decompose_work_counts(monkeypatch, d):
     shrinks = trace.step("diag_pencil").data["shrinks"]
     assert made["eigh"] <= 10 + 2 * shrinks
     assert made["eigvalsh"] == 0
+
+
+def test_decompositions_classify_without_classify_hermitian(monkeypatch):
+    """Counts: each "classify" step reads one stacked lambda_min and computes no witness, so
+    the only phase fixes of a d = 8 pd_decompose are the witnesses of its two pencil solves."""
+    rng = np.random.default_rng(540)
+    s = psd_sum(rng, 8, 64)
+    pairs = [(random_pd(rng, 3), random_pd(rng, 3)) for _ in range(2)]
+    calls = count_calls(monkeypatch, [
+        (core, "classify_hermitian"), (posdecomp, "classify_hermitian"),
+        (core, "fix_phase"), (pencil, "fix_phase"),
+    ])
+    pd_decompose(s)
+    assert calls == {"classify_hermitian": 0, "fix_phase": 4}
+    two_sum_pd(*pairs[0], *pairs[1])
+    one_sum_positive(*pairs[0])
+    assert calls["classify_hermitian"] == 0
+
+
+def classify_corpus():
+    """48 two-pair inputs: PD, PSD (every left factor kills e_1), indefinite and
+    non-Hermitian left factors, scaled, over PD right factors, at d = 1..4."""
+    rng = np.random.default_rng(541)
+
+    def psd(d):
+        a = random_psd(rng, d)
+        a[0, :] = a[:, 0] = 0.0
+        return a
+
+    lefts = {"pd": lambda d: random_pd(rng, d), "psd": psd,
+             "indefinite": lambda d: random_hermitian(rng, d),
+             "non-hermitian": lambda d: random_matrix(rng, d)}
+    for kind, left in lefts.items():
+        for d in (1, 2, 3, 4):
+            for scale in (1e-12, 1.0, 1e12):
+                yield f"{kind}-d{d}-{scale:g}", [(scale * left(d), random_pd(rng, d)) for _ in "12"]
+
+
+@pytest.mark.parametrize("decompose", ["pd_decompose", "two_sum_pd", "one_sum_positive"])
+def test_classify_step_matches_the_classify_hermitian_reference(decompose):
+    """The traced kind and lambda_min bits, or the error type and message, equal those of
+    the old "classify" step built on classify_hermitian; one-sum adds a zero operator."""
+    corpus = list(classify_corpus())
+    if decompose == "one_sum_positive":
+        corpus.append(("zero", [(np.zeros((2, 2)), np.eye(2))]))
+    outcomes = set()
+    for label, pairs in corpus:
+        if decompose == "pd_decompose":
+            call, strict = lambda: pd_decompose(LRSum.from_pairs(pairs)), True
+        elif decompose == "two_sum_pd":
+            call, strict = lambda: two_sum_pd(*pairs[0], *pairs[1]), True
+        else:
+            pairs = pairs[:1]
+            call, strict = lambda: one_sum_positive(*pairs[0]), False
+        m = to_liouville(LRSum.from_pairs(pairs))
+        try:
+            kind, lam = classify_step_reference(m, strict)
+        except NumericalError as want:
+            with pytest.raises(NumericalError) as got:
+                call()
+            assert (type(got.value), str(got.value)) == (type(want), str(want)), label
+            outcomes.add(str(want))
+            continue
+        step = call()[-1].step("classify")
+        assert (step.data["kind"], step.data["lambda_min"].hex()) == (kind, lam.hex()), label
+        outcomes.add(kind)
+    assert len(outcomes) >= 4
 
 
 # ---------------------------------------------------------------- counterexample
