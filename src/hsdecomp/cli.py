@@ -8,10 +8,17 @@ compose with pipes::
 
     hsdecomp counterexample --t 0.25 | hsdecomp pd-decompose | hsdecomp zeta-check
 
+Each subcommand is one entry of the ``_COMMANDS`` table: its handler and
+the options it adds. A handler states only what it computes; ``_report``,
+the one report builder, adds the command name, the layout and the
+``tolerances``, and transposes a ``--mirror`` result back. ``main`` times
+and renders every report and turns each failure into an error report.
+
 Exit codes: 0 success; 1 input validation failure (schema, dimensions,
 constructor hypotheses) with a machine-readable error object; 2 numerical
-failure (a value-dependent precondition or margin search failed). stderr
-carries human-readable diagnostics only.
+failure (a value-dependent precondition or margin search failed, or a
+result beyond the float range). stderr carries human-readable diagnostics
+only.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Callable, NamedTuple
 
 from . import forms, posdecomp, superop
@@ -79,11 +87,12 @@ def _read_input(args) -> object:
         raise InputError(f"invalid JSON input: {exc}") from exc
 
 
-def _unwrap_operator_obj(obj) -> dict:
+def _parse_operator(obj) -> LRSum:
+    """An operator object, or a report whose ``terms_out`` carries one."""
     if isinstance(obj, dict) and "terms" in obj and "dim" in obj:
-        return obj
+        return obj_to_operator(obj)
     if isinstance(obj, dict) and isinstance(obj.get("terms_out"), dict):
-        return obj["terms_out"]
+        return obj_to_operator(obj["terms_out"])
     raise InputError("input does not contain an operator (need dim/terms or terms_out)")
 
 
@@ -91,10 +100,10 @@ def _load_operator(args, fold: bool = True) -> tuple[LRSum, str]:
     """The input operator and the digest of it as given.
 
     With ``fold`` the signs are folded into the left factors; with
-    ``--mirror`` the operator is then transposed (``main`` transposes
+    ``--mirror`` the operator is then transposed (``_report`` transposes
     ``terms_out`` back).
     """
-    op = obj_to_operator(_unwrap_operator_obj(_read_input(args)))
+    op = _parse_operator(_read_input(args))
     digest = canonical_digest(operator_to_obj(op))
     if fold:
         op = op.as_lrsum()
@@ -103,182 +112,161 @@ def _load_operator(args, fold: bool = True) -> tuple[LRSum, str]:
     return op, digest
 
 
-def _parse_zetas(text: str) -> ZetaCertificate:
+def _read_fields(args, *keys: str) -> list:
+    """The values of ``keys`` in the input, which must be an object holding them all."""
+    obj = _read_input(args)
+    if not isinstance(obj, dict) or not all(k in obj for k in keys):
+        quoted = [f"'{k}'" for k in keys]
+        listed = ", ".join(quoted[:-1]) + " and " + quoted[-1]
+        raise InputError(f"{args.command} input must be an object with {listed}")
+    return [obj[k] for k in keys]
+
+
+def _certificate(args, signed: LRSum) -> ZetaCertificate | None:
+    """The ``--zeta`` certificate, else the search's (None when it finds none)."""
+    if args.zeta is None:
+        return posdecomp.find_zeta_certificate(signed, args.tol)
     try:
-        values = tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in args.zeta.split(","))
     except ValueError as exc:
-        raise InputError(f"--zeta must be a comma-separated list of numbers: {text!r}") from exc
+        message = f"--zeta must be a comma-separated list of numbers: {args.zeta!r}"
+        raise InputError(message) from exc
     return ZetaCertificate(values)
 
 
-def _report(command, digest, tolerances, *, cls=None, lambda_min=None,
-            kernel_dim=None, terms_out=None, trace=None, result=None) -> dict:
-    """The report layout; ``terms_out`` is an operator, serialized by ``main``."""
+def _report(args, digest, *, cls=None, lambda_min=None, kernel_dim=None,
+            terms_out=None, trace=None, result=None, **tolerances) -> dict:
+    """The report of ``args.command``, in the one layout every command shares.
+
+    Its ``tolerances`` are ``tol``, then ``mirror`` for a mirror command, then
+    the keywords given. A mirror command's ``terms_out`` is transposed back.
+    """
+    tols = {"tol": args.tol}
+    if _COMMANDS[args.command].mirror:
+        tols["mirror"] = args.mirror
+    tols.update(tolerances)
+    if terms_out is not None and args.mirror:
+        terms_out = superop.transpose_dual(terms_out)
     return {
-        "command": command,
+        "command": args.command,
         "inputs_digest": digest,
         "class": cls,
         "lambda_min": jsonify(lambda_min),
         "kernel_dim": kernel_dim,
-        "terms_out": terms_out,
+        "terms_out": None if terms_out is None else operator_to_obj(terms_out),
         "trace": trace,
         "result": result,
-        "tolerances": tolerances,
+        "tolerances": tols,
         "elapsed_ms": None,
     }
-
-
-def _tols(args, **extra) -> dict:
-    out = {"tol": args.tol}
-    if _COMMANDS[args.command].mirror:
-        out["mirror"] = args.mirror
-    out.update(extra)
-    return out
 
 
 def _cmd_classify(args):
     op, digest = _load_operator(args)
     rep = superop.classify_superop(op, args.tol)
     return _report(
-        "classify", digest, _tols(args),
-        cls=rep.kind.value, lambda_min=rep.lambda_min, kernel_dim=rep.kernel_dim,
-        result={"witness": jsonify(rep.witness)},
+        args, digest, cls=rep.kind.value, lambda_min=rep.lambda_min,
+        kernel_dim=rep.kernel_dim, result={"witness": jsonify(rep.witness)},
     )
 
 
 def _cmd_apply(args):
-    obj = _read_input(args)
-    if not isinstance(obj, dict) or "sum" not in obj or "eta" not in obj:
-        raise InputError("apply input must be an object with 'sum' and 'eta'")
-    op = obj_to_operator(_unwrap_operator_obj(obj["sum"])).as_lrsum()
-    eta = rows_to_matrix(obj["eta"], op.dim, "eta")
+    sum_obj, eta_rows = _read_fields(args, "sum", "eta")
+    op = _parse_operator(sum_obj).as_lrsum()
+    eta = rows_to_matrix(eta_rows, op.dim, "eta")
     digest = canonical_digest({"sum": operator_to_obj(op), "eta": matrix_to_rows(eta)})
     out = superop.apply_superop(op, eta)
-    return _report("apply", digest, _tols(args), result={"eta_out": matrix_to_rows(out)})
+    return _report(args, digest, result={"eta_out": matrix_to_rows(out)})
 
 
 def _cmd_liouville(args):
     op, digest = _load_operator(args)
     m = superop.to_liouville(op)
-    return _report("liouville", digest, _tols(args), result={"matrix": matrix_to_rows(m)})
+    return _report(args, digest, result={"matrix": matrix_to_rows(m)})
 
 
 def _cmd_decompose_basis(args):
     op, digest = _load_operator(args)
-    m = superop.to_liouville(op)
-    out = superop.from_liouville(m, args.variant)
-    return _report(
-        "decompose-basis", digest, _tols(args, variant=args.variant),
-        terms_out=out, result={"term_count": len(out)},
-    )
+    out = superop.from_liouville(superop.to_liouville(op), args.variant)
+    return _report(args, digest, terms_out=out, result={"term_count": len(out)},
+                   variant=args.variant)
 
 
-def _cmd_decompose_selfadjoint(args):
+def _rewrite(fn, args):
+    """A command that only rewrites its input operator with ``fn(op, tol)``."""
     op, digest = _load_operator(args)
-    out = superop.selfadjoint_decompose(op, args.tol)
-    return _report(
-        "decompose-selfadjoint", digest, _tols(args),
-        terms_out=out, result={"term_count": len(out)},
-    )
-
-
-def _cmd_reduce(args):
-    op, digest = _load_operator(args)
-    out = superop.reduce_terms(op, args.tol)
-    return _report(
-        "reduce", digest, _tols(args),
-        terms_out=out, result={"term_count": len(out)},
-    )
+    out = fn(op, args.tol)
+    return _report(args, digest, terms_out=out, result={"term_count": len(out)})
 
 
 def _cmd_adjoint(args):
     op, digest = _load_operator(args)
-    out = superop.adjoint(op)
-    return _report("adjoint", digest, _tols(args), terms_out=out)
+    return _report(args, digest, terms_out=superop.adjoint(op))
 
 
-def _cmd_one_sum(args):
-    s, digest = _load_operator(args)
+def _decompose(fn, args):
+    """A command that only decomposes its input operator: ``fn(op, tol) -> (out, trace)``."""
+    op, digest = _load_operator(args)
+    out, trace = fn(op, args.tol)
+    return _report(args, digest, terms_out=out, trace=trace_to_obj(trace))
+
+
+def _one_sum(s: LRSum, tol: float):
     if len(s) != 1:
         raise InputError(f"one-sum takes exactly one term, got {len(s)}")
-    a_hat, b_hat, trace = posdecomp.one_sum_positive(s.terms[0].a, s.terms[0].b, args.tol)
-    out = LRSum.from_pairs([(a_hat, b_hat)], s.dim)
-    return _report("one-sum", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace))
+    a_hat, b_hat, trace = posdecomp.one_sum_positive(s.terms[0].a, s.terms[0].b, tol)
+    return LRSum.from_pairs([(a_hat, b_hat)], s.dim), trace
 
 
-def _cmd_two_sum(args):
-    s, digest = _load_operator(args)
+def _two_sum(s: LRSum, tol: float):
     if len(s) != 2:
         raise InputError(f"two-sum takes exactly two terms, got {len(s)}")
     (t1, t2) = s.terms
-    out, trace = posdecomp.two_sum_pd(t1.a, t1.b, t2.a, t2.b, args.tol)
-    return _report("two-sum", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace))
-
-
-def _cmd_pd_decompose(args):
-    s, digest = _load_operator(args)
-    out, trace = posdecomp.pd_decompose(s, args.tol)
-    return _report(
-        "pd-decompose", digest, _tols(args), terms_out=out, trace=trace_to_obj(trace)
-    )
+    return posdecomp.two_sum_pd(t1.a, t1.b, t2.a, t2.b, tol)
 
 
 def _cmd_zeta_check(args):
     signed, digest = _load_operator(args, fold=False)
-    searched = args.zeta is None
-    if searched:
-        cert = posdecomp.find_zeta_certificate(signed, args.tol)
-        if cert is None:
-            result = {"ok": False, "zetas": None, "b_margins": None,
-                      "a_margin": None, "searched": True}
-            return _report("zeta-check", digest, _tols(args, zeta=None), result=result)
-    else:
-        cert = _parse_zetas(args.zeta)
+    cert = _certificate(args, signed)
+    if cert is None:
+        result = {"ok": False, "zetas": None, "b_margins": None,
+                  "a_margin": None, "searched": True}
+        return _report(args, digest, result=result, zeta=None)
     check = posdecomp.zeta_check(signed, cert, args.tol)
     result = {
         "ok": check.ok,
         "zetas": list(cert.zetas),
         "b_margins": jsonify(list(check.b_margins)),
         "a_margin": jsonify(check.a_margin),
-        "searched": searched,
+        "searched": args.zeta is None,
     }
-    return _report("zeta-check", digest, _tols(args, zeta=list(cert.zetas)), result=result)
+    return _report(args, digest, result=result, zeta=list(cert.zetas))
 
 
 def _cmd_zeta_transform(args):
     signed, digest = _load_operator(args, fold=False)
-    if args.zeta is not None:
-        cert = _parse_zetas(args.zeta)
-    else:
-        cert = posdecomp.find_zeta_certificate(signed, args.tol)
-        if cert is None:
-            raise NumericalError("no valid zeta certificate found by the search")
+    cert = _certificate(args, signed)
+    if cert is None:
+        raise NumericalError("no valid zeta certificate found by the search")
     out = posdecomp.zeta_transform(signed, cert, args.tol)
-    return _report(
-        "zeta-transform", digest, _tols(args, zeta=list(cert.zetas)),
-        terms_out=out, result={"zetas": list(cert.zetas)},
-    )
+    zetas = list(cert.zetas)
+    return _report(args, digest, terms_out=out, result={"zetas": zetas}, zeta=zetas)
 
 
 def _cmd_counterexample(args):
     out = posdecomp.counterexample_superop(args.t)
-    digest = canonical_digest({"t": float(args.t)})
-    return _report(
-        "counterexample", digest, _tols(args, t=float(args.t)), terms_out=out
-    )
+    t = float(args.t)
+    return _report(args, canonical_digest({"t": t}), terms_out=out, t=t)
 
 
 def _cmd_build_ip(args):
-    obj = _read_input(args)
-    if not isinstance(obj, dict) or "a" not in obj or "b" not in obj or "dim" not in obj:
-        raise InputError("build-ip input must be an object with 'dim', 'a' and 'b'")
-    dim = obj["dim"]
+    dim, a_rows, b_rows = _read_fields(args, "dim", "a", "b")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError(f"dim must be a positive integer, got {dim!r}")
-    if not isinstance(obj["a"], list) or not isinstance(obj["b"], list):
+    if not isinstance(a_rows, list) or not isinstance(b_rows, list):
         raise InputError("'a' and 'b' must be arrays of matrices")
-    a_list = [rows_to_matrix(rows, dim, f"a[{i}]") for i, rows in enumerate(obj["a"])]
-    b_list = [rows_to_matrix(rows, dim, f"b[{i}]") for i, rows in enumerate(obj["b"])]
+    a_list = [rows_to_matrix(rows, dim, f"a[{i}]") for i, rows in enumerate(a_rows)]
+    b_list = [rows_to_matrix(rows, dim, f"b[{i}]") for i, rows in enumerate(b_rows)]
     digest = canonical_digest({
         "dim": dim,
         "a": [matrix_to_rows(a) for a in a_list],
@@ -286,38 +274,30 @@ def _cmd_build_ip(args):
     })
     phi = forms.build_inner_product(a_list, b_list, args.tol)
     fc = forms.classify_form(phi, args.tol)
-    return _report(
-        "build-ip", digest, _tols(args),
-        cls=fc.kind.value, lambda_min=fc.lambda_min, terms_out=phi.op,
-    )
+    return _report(args, digest, cls=fc.kind.value, lambda_min=fc.lambda_min, terms_out=phi.op)
 
 
 def _cmd_form_eval(args):
-    obj = _read_input(args)
-    if not isinstance(obj, dict) or not all(k in obj for k in ("sum", "eta", "tau")):
-        raise InputError("form-eval input must be an object with 'sum', 'eta' and 'tau'")
-    op = obj_to_operator(_unwrap_operator_obj(obj["sum"])).as_lrsum()
-    eta = rows_to_matrix(obj["eta"], op.dim, "eta")
-    tau = rows_to_matrix(obj["tau"], op.dim, "tau")
+    sum_obj, eta_rows, tau_rows = _read_fields(args, "sum", "eta", "tau")
+    op = _parse_operator(sum_obj).as_lrsum()
+    eta = rows_to_matrix(eta_rows, op.dim, "eta")
+    tau = rows_to_matrix(tau_rows, op.dim, "tau")
     digest = canonical_digest({
         "sum": operator_to_obj(op),
         "eta": matrix_to_rows(eta),
         "tau": matrix_to_rows(tau),
     })
     value = forms.eval_form(forms.Form(op), eta, tau)
-    return _report("form-eval", digest, _tols(args), result={"value": jsonify(value)})
+    return _report(args, digest, result={"value": jsonify(value)})
 
 
 def _cmd_equiv(args):
-    obj = _read_input(args)
-    if not isinstance(obj, dict) or "sum1" not in obj or "sum2" not in obj:
-        raise InputError("equiv input must be an object with 'sum1' and 'sum2'")
-    op1 = obj_to_operator(_unwrap_operator_obj(obj["sum1"])).as_lrsum()
-    op2 = obj_to_operator(_unwrap_operator_obj(obj["sum2"])).as_lrsum()
+    sum1, sum2 = _read_fields(args, "sum1", "sum2")
+    op1, op2 = _parse_operator(sum1).as_lrsum(), _parse_operator(sum2).as_lrsum()
     digest = canonical_digest({"sum1": operator_to_obj(op1), "sum2": operator_to_obj(op2)})
     res = forms.equivalence_constants(forms.Form(op1), forms.Form(op2), args.tol)
     return _report(
-        "equiv", digest, _tols(args),
+        args, digest,
         result={
             "c_lo": res.c_lo,
             "c_hi": res.c_hi,
@@ -334,27 +314,24 @@ class _Command(NamedTuple):
     mirror: bool = False  # accepts --mirror: transpose the input and terms_out
 
 
+_VARIANT = (("--variant", {"choices": ("left", "right"), "default": "left"}),)
 _ZETA = (("--zeta", {"default": None, "metavar": "CSV"}),)
+_T = (("--t", {"type": float, "required": True}),)
 
 _COMMANDS = {
     "classify": _Command(_cmd_classify),
     "apply": _Command(_cmd_apply),
     "liouville": _Command(_cmd_liouville),
-    "decompose-basis": _Command(
-        _cmd_decompose_basis,
-        (("--variant", {"choices": ("left", "right"), "default": "left"}),),
-    ),
-    "decompose-selfadjoint": _Command(_cmd_decompose_selfadjoint),
-    "reduce": _Command(_cmd_reduce),
+    "decompose-basis": _Command(_cmd_decompose_basis, _VARIANT),
+    "decompose-selfadjoint": _Command(partial(_rewrite, superop.selfadjoint_decompose)),
+    "reduce": _Command(partial(_rewrite, superop.reduce_terms)),
     "adjoint": _Command(_cmd_adjoint),
-    "one-sum": _Command(_cmd_one_sum, mirror=True),
-    "two-sum": _Command(_cmd_two_sum, mirror=True),
-    "pd-decompose": _Command(_cmd_pd_decompose, mirror=True),
+    "one-sum": _Command(partial(_decompose, _one_sum), mirror=True),
+    "two-sum": _Command(partial(_decompose, _two_sum), mirror=True),
+    "pd-decompose": _Command(partial(_decompose, posdecomp.pd_decompose), mirror=True),
     "zeta-check": _Command(_cmd_zeta_check, _ZETA, mirror=True),
     "zeta-transform": _Command(_cmd_zeta_transform, _ZETA, mirror=True),
-    "counterexample": _Command(
-        _cmd_counterexample, (("--t", {"type": float, "required": True}),)
-    ),
+    "counterexample": _Command(_cmd_counterexample, _T),
     "build-ip": _Command(_cmd_build_ip),
     "form-eval": _Command(_cmd_form_eval),
     "equiv": _Command(_cmd_equiv),
@@ -397,23 +374,21 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, report: dict) -> None:
-    if getattr(args, "format", "json") == "text":
-        _write(args, _render_text(report))
-    else:
-        _write(args, json.dumps(report, indent=2, allow_nan=False) + "\n")
+def _render(args, report: dict) -> str:
+    """The report as ``--format`` asks; a report that holds inf or NaN is an error in either."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # an inf or NaN that a result overflowed to
+        raise NumericalError(f"report is not finite: {exc}") from exc
+    return _render_text(report) if args.format == "text" else text
 
 
-def _emit_error(args, exc: Exception, command: str) -> None:
-    obj = {
-        "command": command,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    index = getattr(exc, "index", None)
-    if index is not None:
-        obj["error"]["index"] = index
-    _write(args, json.dumps(obj, indent=2) + "\n")
-    print(f"hsdecomp {command}: error: {exc}", file=sys.stderr)
+def _emit_error(args, exc: Exception) -> None:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if getattr(exc, "index", None) is not None:
+        error["index"] = exc.index
+    _write(args, json.dumps({"command": args.command, "error": error}, indent=2) + "\n")
+    print(f"hsdecomp {args.command}: error: {exc}", file=sys.stderr)
 
 
 def _glue_float_values(argv: list[str]) -> list[str]:
@@ -442,27 +417,21 @@ def main(argv=None) -> int:
         print(f"hsdecomp: error: {exc}", file=sys.stderr)
         return 1
     start = time.perf_counter()
-    command = args.command
     try:
         if not args.tol > 0:
             raise InputError(f"tol must be positive, got {args.tol}")
         if args.tol == float("inf"):
             raise InputError(f"tol must be finite, got {args.tol}")
-        report = _COMMANDS[command].handler(args)
-        # the input of a --mirror command was transposed on loading
-        out = report["terms_out"]
-        if out is not None:
-            if args.mirror:
-                out = superop.transpose_dual(out)
-            report["terms_out"] = operator_to_obj(out)
+        report = _COMMANDS[args.command].handler(args)
+        report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        text = _render(args, report)
     except InputError as exc:
-        _emit_error(args, exc, command)
+        _emit_error(args, exc)
         return 1
     except NumericalError as exc:
-        _emit_error(args, exc, command)
+        _emit_error(args, exc)
         return 2
-    report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-    _emit(args, report)
+    _write(args, text)
     return 0
 
 

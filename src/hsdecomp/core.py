@@ -122,15 +122,16 @@ def op_norm(a) -> float:
 
 
 def hermitian_part(t) -> np.ndarray:
-    """(T + T*)/2, of a matrix or of each matrix in a stack."""
-    t = np.asarray(t, dtype=_COMPLEX)
-    return (t + t.conj().swapaxes(-1, -2)) / 2
+    """(T + T*)/2, of a matrix or of each matrix in a stack, as T/2 + (T/2)*: that sum cannot
+    overflow, and halving is exact in the normal range, so no other bit moves."""
+    h = np.asarray(t, dtype=_COMPLEX) / 2
+    return np.add(h, h.conj().swapaxes(-1, -2), out=h)
 
 
 def skew_part(t) -> np.ndarray:
-    """(T - T*)/2, of a matrix or of each matrix in a stack."""
-    t = np.asarray(t, dtype=_COMPLEX)
-    return (t - t.conj().swapaxes(-1, -2)) / 2
+    """(T - T*)/2, of a matrix or of each matrix in a stack, halved first as ``hermitian_part``."""
+    h = np.asarray(t, dtype=_COMPLEX) / 2
+    return np.subtract(h, h.conj().swapaxes(-1, -2), out=h)
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

@@ -3,13 +3,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hsdecomp.cli import main
+from hsdecomp.cli import _COMMANDS, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -365,14 +366,15 @@ def test_byte_stability_modulo_elapsed(capsys, monkeypatch):
 
 
 def test_pipeline_subprocess():
+    # -W error: a warning in any child (an overflow, say) fails the pipe, as in-process
     env = dict(os.environ)
+    py = f"{sys.executable} -W error -m hsdecomp"
     code = subprocess.run(
-        f"{sys.executable} -m hsdecomp counterexample --t 0.25 | "
-        f"{sys.executable} -m hsdecomp pd-decompose | "
-        f"{sys.executable} -m hsdecomp zeta-check",
+        f"{py} counterexample --t 0.25 | {py} pd-decompose | {py} zeta-check",
         shell=True, capture_output=True, text=True, env=env,
     )
     assert code.returncode == 0
+    assert code.stderr == ""
     rep = json.loads(code.stdout)
     assert rep["command"] == "zeta-check"
     assert rep["result"]["ok"] is False  # no certificate exists for this operator
@@ -380,12 +382,13 @@ def test_pipeline_subprocess():
 
 
 def test_pipeline_classify_subprocess():
+    py = f"{sys.executable} -W error -m hsdecomp"
     code = subprocess.run(
-        f"{sys.executable} -m hsdecomp counterexample --t 0.25 | "
-        f"{sys.executable} -m hsdecomp classify",
+        f"{py} counterexample --t 0.25 | {py} classify",
         shell=True, capture_output=True, text=True,
     )
     assert code.returncode == 0
+    assert code.stderr == ""
     rep = json.loads(code.stdout)
     assert rep["class"] == "PositiveDefinite"
     assert abs(rep["lambda_min"] - 0.25) <= 1e-9
@@ -450,3 +453,90 @@ def test_classify_bad_tol_message(capsys, monkeypatch):
     rep = run_json(["classify", "--in", fixture("identity_d2.json"), "--tol", "-1"],
                    capsys, monkeypatch, expect=1)
     assert rep["error"] == {"type": "InputError", "message": "tol must be positive, got -1.0"}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("apply", "{}", "apply input must be an object with 'sum' and 'eta'"),
+    ("apply", "[]", "apply input must be an object with 'sum' and 'eta'"),
+    ("form-eval", '{"sum": {}, "eta": []}',
+     "form-eval input must be an object with 'sum', 'eta' and 'tau'"),
+    ("equiv", '{"sum1": {}}', "equiv input must be an object with 'sum1' and 'sum2'"),
+    ("build-ip", '{"a": [], "b": []}',
+     "build-ip input must be an object with 'dim', 'a' and 'b'"),
+    ("build-ip", '{"dim": 0, "a": [], "b": []}', "dim must be a positive integer, got 0"),
+    ("build-ip", '{"dim": true, "a": [], "b": []}', "dim must be a positive integer, got True"),
+    ("build-ip", '{"dim": 2, "a": {}, "b": []}', "'a' and 'b' must be arrays of matrices"),
+], ids=["apply", "apply-array", "form-eval", "equiv", "build-ip", "build-ip-dim-0",
+        "build-ip-dim-bool", "build-ip-a-not-array"])
+def test_object_input_messages(command, text, message, capsys, monkeypatch):
+    rep = run_json([command], capsys, monkeypatch, stdin_text=text, expect=1)
+    assert rep == {"command": command, "error": {"type": "InputError", "message": message}}
+
+
+def test_one_sum_wrong_arity(capsys, monkeypatch):
+    rep = run_json(["one-sum", "--in", fixture("twosum_input.json")], capsys, monkeypatch,
+                   expect=1)
+    assert rep["error"] == {"type": "InputError",
+                            "message": "one-sum takes exactly one term, got 2"}
+
+
+def test_zeta_transform_search_miss_is_numerical_error(capsys, monkeypatch):
+    rep = run_json(["zeta-transform", "--in", fixture("golden/pd_decompose_counterexample.json")],
+                   capsys, monkeypatch, expect=2)
+    assert rep == {"command": "zeta-transform", "error": {
+        "type": "NumericalError", "message": "no valid zeta certificate found by the search"}}
+
+
+# the options beyond --in/--out/--tol/--format that each subcommand declares
+_EXTRA_OPTIONS = {
+    "classify": set(), "apply": set(), "liouville": set(),
+    "decompose-basis": {"--variant"}, "decompose-selfadjoint": set(), "reduce": set(),
+    "adjoint": set(), "one-sum": {"--mirror"}, "two-sum": {"--mirror"},
+    "pd-decompose": {"--mirror"}, "zeta-check": {"--zeta", "--mirror"},
+    "zeta-transform": {"--zeta", "--mirror"}, "counterexample": {"--t"},
+    "build-ip": set(), "form-eval": set(), "equiv": set(),
+}
+
+
+def test_subcommands_are_the_sixteen_named():
+    assert list(_COMMANDS) == list(_EXTRA_OPTIONS)
+
+
+@pytest.mark.parametrize("command", list(_EXTRA_OPTIONS))
+def test_help_lists_the_declared_options(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for flag in ("--in", "--out", "--tol", "--format"):
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", out), flag
+    listed = {f for f in ("--variant", "--zeta", "--t", "--mirror")
+              if re.search(rf"(?<![\w-]){f}(?![\w-])", out)}
+    assert listed == _EXTRA_OPTIONS[command]
+
+
+_EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_HUGE = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]
+_NEAR_MAX = [[[1e308, 0.0], [1e308, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+@pytest.mark.parametrize("command, obj, extra", [
+    # the Liouville matrix of (1e200 I, 1e200 I) is 1e400 I
+    ("liouville", {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}, []),
+    ("liouville", {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}, ["--format", "text"]),
+    # tr(eta* tau) sums 1e308 * 1e308 twice
+    ("form-eval", {"sum": {"dim": 2, "terms": [{"a": _EYE, "b": _EYE}]},
+                   "eta": _NEAR_MAX, "tau": _NEAR_MAX}, []),
+], ids=["liouville", "liouville-text", "form-eval"])
+def test_report_beyond_the_float_range_is_numerical_error(command, obj, extra):
+    # a child process: the overflow may also warn on stderr, which pytest would raise in-process
+    code = subprocess.run(
+        [sys.executable, "-m", "hsdecomp", command, *extra], input=json.dumps(obj),
+        capture_output=True, text=True,
+    )
+    assert code.returncode == 2, code.stderr
+    error = json.loads(code.stdout)["error"]
+    assert error["type"] == "NumericalError"
+    assert error["message"].startswith("report is not finite")
+    assert "Traceback" not in code.stderr
+    assert code.stderr.endswith(f"hsdecomp {command}: error: {error['message']}\n")

@@ -272,6 +272,22 @@ def test_a_norm_whose_square_overflows_keeps_the_rule_scale_covariant():
         assert _frob_norms(np.diag([1e160, -1e155])[None])[0] == np.inf
 
 
+@pytest.mark.parametrize("diag, kind", [
+    ([1.5e308, -1.0], PositivityClass.PSD_SINGULAR),  # -1 lies inside the 1.5e299 threshold
+    ([1.5e308, -1.5e300], PositivityClass.INDEFINITE),
+])
+def test_an_entry_near_the_float_range_classifies_without_overflow(diag, kind):
+    """T + T* overflows at 1.5e308; the Hermitian part is taken as T/2 + T*/2."""
+    t = np.diag(diag)
+    report = classify_hermitian(t)
+    assert report.kind is kind
+    assert report.lambda_min == diag[1]
+    lam, threshold = _lambda_min_stack(t[None], 1e-9)
+    assert lam[0] == diag[1] and threshold[0] == pytest.approx(1.5e299)
+    np.testing.assert_array_equal(hermitian_part(t), t)
+    np.testing.assert_array_equal(skew_part(t), np.zeros((2, 2)))
+
+
 @pytest.mark.parametrize("t", [
     np.diag([1.5e308, 1.5e308]),
     np.array([[0.0, 1e308], [-1e308, 0.0]]),  # ||T - T*||_F = 2.8e308
