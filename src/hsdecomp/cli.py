@@ -367,11 +367,14 @@ def _render_text(report: dict) -> str:
 
 
 def _write(args, text: str) -> None:
-    if args.outfile:
+    if not args.outfile:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {args.outfile}: {exc}") from exc
 
 
 def _render(args, report: dict) -> str:
@@ -387,7 +390,11 @@ def _emit_error(args, exc: Exception) -> None:
     error = {"type": type(exc).__name__, "message": str(exc)}
     if getattr(exc, "index", None) is not None:
         error["index"] = exc.index
-    _write(args, json.dumps({"command": args.command, "error": error}, indent=2) + "\n")
+    text = json.dumps({"command": args.command, "error": error}, indent=2) + "\n"
+    try:
+        _write(args, text)
+    except InputError:  # an --out that cannot be written takes no report, so stdout does
+        sys.stdout.write(text)
     print(f"hsdecomp {args.command}: error: {exc}", file=sys.stderr)
 
 
@@ -424,14 +431,13 @@ def main(argv=None) -> int:
             raise InputError(f"tol must be finite, got {args.tol}")
         report = _COMMANDS[args.command].handler(args)
         report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-        text = _render(args, report)
+        _write(args, _render(args, report))
     except InputError as exc:
         _emit_error(args, exc)
         return 1
     except NumericalError as exc:
         _emit_error(args, exc)
         return 2
-    _write(args, text)
     return 0
 
 

@@ -11,8 +11,10 @@ Scalar parameters that the existence arguments merely assert ("large
 enough", "small enough") are computed from generalized eigenvalue
 pencils: the minimal feasible value with a 2x margin for growth
 parameters, and a geometric shrink starting at 1/8 with floor 2^-40 for
-the pencil offsets. Every chosen parameter is recorded in a
-:class:`DecompositionTrace` so a decomposition can be replayed.
+the pencil offsets. Each search returns the matrices it accepted, and
+those are the output factors; no factor is built a second time. Every
+chosen parameter is recorded in a :class:`DecompositionTrace` so a
+decomposition can be replayed.
 """
 
 from __future__ import annotations
@@ -154,10 +156,7 @@ def _nonvanishing_vector(x: np.ndarray, tol: float) -> tuple[np.ndarray, complex
     Falls back to the extreme direction of the skew part when the
     Hermitian part is negligible (purely imaginary numerical range).
     """
-    scale = frob_norm(x)
-    if scale == 0.0:
-        raise DegenerateFactorError("factor is exactly zero")
-    threshold = tol * max(1.0, scale)
+    threshold = tol * max(1.0, frob_norm(x))
     for part in (hermitian_part(x), 1j * skew_part(x)):
         w, v = np.linalg.eigh(part)
         f = v[:, int(np.argmax(np.abs(w)))]
@@ -167,17 +166,22 @@ def _nonvanishing_vector(x: np.ndarray, tol: float) -> tuple[np.ndarray, complex
     raise DegenerateFactorError("quadratic form of the factor vanishes numerically")
 
 
-def _shrink_offset(t0: float, conditions, tracer: _Tracer, label: str) -> tuple[float, float, int]:
-    """Pick t = (1 - eps) t0 with eps shrinking geometrically until ``conditions(t)``.
+def _shrink_offset(t0: float, x: np.ndarray, y: np.ndarray, companion, tol: float,
+                   tracer: _Tracer, label: str) -> tuple[float, float, int, np.ndarray, np.ndarray]:
+    """Pick t = (1 - eps) t0 with eps shrinking geometrically until x - t y and companion(t)
+    are both positive definite, tested as one stack per try.
 
-    Returns (t, eps, shrink_count); raises NoProgressError below the floor.
+    Returns (t, eps, shrink_count, pair, lambda_min): the accepted stack [x - t y, companion(t)]
+    and the lambda_min of each. Raises NoProgressError below the floor.
     """
     eps = _EPS_START
     shrinks = 0
     while True:
         t = (1.0 - eps) * t0
-        if conditions(t):
-            return t, eps, shrinks
+        pair = np.stack([x - t * y, companion(t)])
+        lam, threshold = _lambda_min_stack(pair, tol)
+        if (lam > threshold).all():
+            return t, eps, shrinks, pair, lam
         eps /= 2.0
         shrinks += 1
         if eps < _EPS_FLOOR:
@@ -187,26 +191,31 @@ def _shrink_offset(t0: float, conditions, tracer: _Tracer, label: str) -> tuple[
             )
 
 
-def _grow_margins(required: np.ndarray, base: np.ndarray, offsets: np.ndarray, strict: bool,
-                  tol: float, tracer: _Tracer, labels: list[str]) -> np.ndarray:
+def _grow_margins(base: np.ndarray, offsets: np.ndarray, strict: bool, tol: float,
+                  tracer: _Tracer, labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Scalars v_i making v_i * base + offsets[i] positive definite (``strict``) or semidefinite.
 
-    Each v_i starts at the minimal pencil-feasible value doubled, 2 max(0, required_i); one
-    stacked classifier call tests all of them. Each entry that fails, in index order, grows by
+    With required_i = -lambda_min(offsets[i], base), from one shared-base pencil solve, each
+    v_i starts at the minimal pencil-feasible value doubled, 2 max(0, required_i); one stacked
+    classifier call tests all of them. Each entry that fails, in index order, grows by
     v -> 2 v + max(1, |required_i|) up to 64 times; a stall is traced as failed and raises
-    NoProgressError named ``labels[i]``.
+    NoProgressError named ``labels[i]``. Returns the values and the accepted stack
+    v_i * base + offsets[i].
     """
+    required = -np.fromiter(_pencil_minima(offsets, base), float, len(offsets))
     values = 2.0 * np.maximum(0.0, required)
-    for i in np.flatnonzero(~_positive(values[:, None, None] * base + offsets, tol, strict)):
+    stack = values[:, None, None] * base + offsets
+    for i in np.flatnonzero(~_positive(stack, tol, strict)):
         bump = max(1.0, abs(required[i]))
         for _ in range(64):
             values[i] = 2.0 * values[i] + bump
-            if _positive((values[i] * base + offsets[i])[None], tol, strict)[0]:
+            stack[i] = values[i] * base + offsets[i]
+            if _positive(stack[i][None], tol, strict)[0]:
                 break
         else:
             tracer.add(labels[i], required=float(required[i]), failed=True)
             raise NoProgressError(f"{labels[i]}: margin search stalled", trace=tracer.freeze())
-    return values
+    return values, stack
 
 
 def _sum_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -247,8 +256,6 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     a = as_square_matrix(a, "a")
     b = as_square_matrix(b, "b")
     tracer = _classified(to_liouville(LRSum.from_pairs([(a, b)])), tol, strict=False)
-    if frob_norm(a) == 0.0 or frob_norm(b) == 0.0:
-        raise DegenerateFactorError("zero factor with nonzero superoperator")
     f0, alpha = _nonvanishing_vector(b, tol)
     a_hat = alpha * a
     b_hat = b / alpha
@@ -342,23 +349,19 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         return _one_sum_fallback(p1, q1, dim, tol, tracer, "second term vanished"), tracer.freeze()
 
     # stage 2: right-factor pencil
-    t0 = pencil_extremes(q2, q1).lambda_min
-    t, eps, shrinks = _shrink_offset(
-        t0,
-        lambda t_: _positive(np.stack([q2 - t_ * q1, p1 + t_ * p2]), tol).all(),
-        tracer,
-        "right_pencil",
+    t0 = next(_pencil_minima(q2[None], q1))
+    t, eps, shrinks, (offset_b, combined_a), lam = _shrink_offset(
+        t0, q2, q1, lambda t_: p1 + t_ * p2, tol, tracer, "right_pencil"
     )
-    terms = [(p1 + t * p2, q1), (p2, q2 - t * q1)]
-    lam_a, lam_b = _lambda_min_stack(np.stack([terms[0][0], terms[1][1]]), tol)[0].tolist()
+    terms = [(combined_a, q1), (p2, offset_b)]
     tracer.add(
         "right_pencil",
         t0=t0,
         t=t,
         eps=eps,
         shrinks=shrinks,
-        lambda_min_combined_a=lam_a,
-        lambda_min_offset_b=lam_b,
+        lambda_min_combined_a=float(lam[1]),
+        lambda_min_offset_b=float(lam[0]),
     )
 
     # stage 3: mirrored fix of the remaining left factor
@@ -372,20 +375,13 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         delta_g = complex(f0.conj() @ q1 @ f0).real
         combined = delta_u * p2 + delta_g * p1
         q_mixed = q1 - (delta_g / delta_u) * q2
+        q_unit = q2 / delta_u
         tracer.add("fold_left", f0=f0, delta_u=delta_u, delta_g=delta_g)
-        s0 = pencil_extremes(combined, p1).lambda_min
-        s_off, eps, shrinks = _shrink_offset(
-            s0,
-            lambda s_: _positive(
-                np.stack([q_mixed + s_ * (q2 / delta_u), combined - s_ * p1]), tol
-            ).all(),
-            tracer,
-            "left_pencil",
+        s0 = next(_pencil_minima(combined[None], p1))
+        s_off, eps, shrinks, (left, right), _ = _shrink_offset(
+            s0, combined, p1, lambda s_: q_mixed + s_ * q_unit, tol, tracer, "left_pencil"
         )
-        terms = [
-            (p1, q_mixed + s_off * (q2 / delta_u)),
-            (combined - s_off * p1, q2 / delta_u),
-        ]
+        terms = [(p1, right), (left, q_unit)]
         tracer.add("left_pencil", s0=s0, s=s_off, eps=eps, shrinks=shrinks)
 
     return LRSum.from_pairs(terms, dim), tracer.freeze()
@@ -477,15 +473,11 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     e11 = matrix_unit(d, 1, 1)
     e22 = matrix_unit(d, 2, 2)
     gamma_tail = np.add.reduce(gamma.real[:, None, None] * hat[others])
-
-    def stage2_ok(t_: float) -> bool:
-        left = gamma11 * (e11 + t_ * e22) + gamma_tail
-        return _positive(np.stack([left, diag2 - t_ * diag1]), tol).all()
-
-    t, eps, shrinks = _shrink_offset(t0, stage2_ok, tracer, "diag_pencil")
-    left_comb = gamma11 * (e11 + t * e22) + gamma_tail
+    t, eps, shrinks, (right2, left_comb), _ = _shrink_offset(
+        t0, diag2, diag1, lambda t_: gamma11 * (e11 + t_ * e22) + gamma_tail, tol, tracer,
+        "diag_pencil",
+    )
     right1 = diag1 / gamma11
-    right2 = diag2 - t * diag1
     tracer.add(
         "diag_pencil",
         t0=t0,
@@ -505,30 +497,25 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     rest, kept = rest[keep], others[keep]
 
     # margin stage: stacked first checks for all beta, then alpha
-    mu = np.fromiter(_pencil_minima(rest, right2), float, len(rest))
-    beta = _grow_margins(-mu, right2, rest, True, tol, tracer, [f"beta_{p}" for p in pairs(kept)])
-    right3 = beta[:, None, None] * right2 + rest
-    left2 = _sum_in_order(e22, -(beta[:, None, None] * hat[kept]))
-    alpha_req = np.array([pencil_extremes(left2, left_comb).lambda_max])
-    alpha = float(
-        _grow_margins(alpha_req, left_comb, -left2[None], True, tol, tracer, ["alpha"])[0]
+    beta, right3 = _grow_margins(
+        right2, rest, True, tol, tracer, [f"beta_{p}" for p in pairs(kept)]
     )
-    neg_left = alpha * left_comb - left2
+    left2 = _sum_in_order(e22, -(beta[:, None, None] * hat[kept]))
+    (alpha,), (neg_left,) = _grow_margins(left_comb, -left2[None], True, tol, tracer, ["alpha"])
+    alpha = float(alpha)
     tracer.add("margins", beta=dict(zip(pairs(kept), beta.tolist())), alpha=alpha,
                dropped=pairs(others[~keep]))
 
     # lift stage: stacked first checks for all off-diagonal lambda
     off = kept // d != kept % d
     lifted = kept[off]
-    nu = np.fromiter(_pencil_minima(hat[lifted], neg_left), float, len(lifted))
-    lam = _grow_margins(
-        -nu, neg_left, hat[lifted], False, tol, tracer, [f"lambda_{p}" for p in pairs(lifted)]
+    lefts = hat[kept]  # a diagonal Hermitian unit is the matrix unit E_nn
+    lam, lefts[off] = _grow_margins(
+        neg_left, hat[lifted], False, tol, tracer, [f"lambda_{p}" for p in pairs(lifted)]
     )
     tracer.add("lifts", lam=dict(zip(pairs(lifted), lam.tolist())))
 
     neg_right = _sum_in_order(right2, lam[:, None, None] * right3[off])
-    lefts = hat[kept]  # a diagonal Hermitian unit is the matrix unit E_nn
-    lefts[off] += lam[:, None, None] * neg_left
     out = [LRTerm(neg_left, neg_right, -1), LRTerm(left_comb, right1 + alpha * right2)]
     out += [LRTerm(a, b) for a, b in zip(lefts, right3)]
     return LRSum(d, tuple(out)), tracer.freeze()

@@ -172,13 +172,16 @@ def to_liouville(s: LRSum) -> np.ndarray:
     The exact products of each term fill one reused buffer with the bits of
     ``np.kron(b.T, a)`` over ``as_lrsum()``: b^T stays the first operand (complex
     products do not commute bitwise) and signs fold into a as ``as_lrsum()`` folds them.
+    An entry beyond the float range comes out infinite (or NaN), without a warning; the
+    caller reports it.
     """
     d = s.dim
     out, buf = np.zeros((d, d, d, d), dtype=_COMPLEX), np.empty((d, d, d, d), dtype=_COMPLEX)
-    for t in s.terms:
-        a = t.sign * t.a if s.has_negative else t.a
-        np.multiply(t.b.T[:, None, :, None], a[None, :, None, :], out=buf)
-        out += buf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in s.terms:
+            a = t.sign * t.a if s.has_negative else t.a
+            np.multiply(t.b.T[:, None, :, None], a[None, :, None, :], out=buf)
+            out += buf
     return out.reshape(d * d, d * d)
 
 

@@ -540,3 +540,35 @@ def test_report_beyond_the_float_range_is_numerical_error(command, obj, extra):
     assert error["message"].startswith("report is not finite")
     assert "Traceback" not in code.stderr
     assert code.stderr.endswith(f"hsdecomp {command}: error: {error['message']}\n")
+
+
+def test_liouville_overflow_under_warnings_as_errors():
+    # the overflowing products of to_liouville must not warn: under -W error a warning would
+    # end the process in a traceback before the report is checked
+    obj = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", "liouville"], input=json.dumps(obj),
+        capture_output=True, text=True,
+    )
+    assert code.returncode == 2, code.stderr
+    error = json.loads(code.stdout)["error"]
+    assert error["type"] == "NumericalError"
+    assert code.stderr == f"hsdecomp liouville: error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("t, report", [("0.25", "success"), ("0.75", "error")])
+def test_unwritable_out_is_input_error_on_stdout(t, report, tmp_path, capsys):
+    """Neither a report nor an error report can go to an --out that cannot be written, so the
+    error report goes to stdout."""
+    out_path = tmp_path / "missing" / "x.json"
+    code = main(["counterexample", "--t", t, "--out", str(out_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    if report == "success":
+        assert error["message"].startswith(f"cannot write {out_path}: ")
+    else:
+        assert error["message"] == "t must lie in (0, 1/2), got 0.75"
+    assert err == f"hsdecomp counterexample: error: {error['message']}\n"
+    assert not out_path.parent.exists()

@@ -34,7 +34,9 @@ from hsdecomp import (
 )
 from hsdecomp import core, pencil, posdecomp
 from hsdecomp.pencil import _pencil_minima
-from hsdecomp.posdecomp import _Tracer, _factor_stacks, _grow_margins, _zeta_conditions
+from hsdecomp.posdecomp import (
+    _Tracer, _factor_stacks, _grow_margins, _shrink_offset, _zeta_conditions,
+)
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
     classify_step_reference,
@@ -196,6 +198,40 @@ def test_two_sum_degenerate_term_falls_back():
     assert rel_err(signed_liouville(signed), m_ref) <= 1e-9
     assert all(is_pd(t.b) for t in signed.terms)
     assert trace.has("one_sum_fallback") or all(is_psd(t.a) for t in signed.terms)
+
+
+def test_two_sum_left_factor_vanished_falls_back():
+    """a1 = 0 leaves the negative right factor b1 = -I to fold with a vanished left factor;
+    the survivor (I, I) is rescaled alone and padded with a zero term."""
+    signed, trace = two_sum_pd(np.zeros((2, 2)), -I2, I2, I2)
+    assert [(t.sign, t.a.tolist(), t.b.tolist()) for t in signed.terms] == [
+        (1, I2.tolist(), I2.tolist()), (1, np.zeros((2, 2)).tolist(), I2.tolist()),
+    ]
+    assert [s.name for s in trace.steps] == ["classify", "one_sum_fallback"]
+    assert trace.step("one_sum_fallback").data == {
+        "note": "left factor vanished", "sub_steps": ["classify", "rescale"],
+    }
+    assert np.array_equal(signed_liouville(signed), np.eye(4))
+
+
+def test_shrink_offset_accepts_a_pair_and_stalls_at_the_floor(monkeypatch):
+    x, y = 2.0 * I2, I2
+    t, eps, shrinks, pair, lam = _shrink_offset(1.0, x, y, lambda t_: I2 - t_ * y, 1e-9,
+                                                _Tracer(), "right_pencil")
+    assert (t, eps, shrinks) == (0.875, 0.125, 0)
+    assert np.array_equal(pair, np.stack([x - t * y, I2 - t * y]))
+    assert lam.tolist() == [1.125, 0.125]
+    # a companion that is never positive definite: one stacked eigh per try, 38 tries from
+    # eps = 2^-3 down to 2^-40, then the floor
+    counts = count_linalg(monkeypatch, "eigh")
+    tracer = _Tracer()
+    tracer.add("before")
+    with pytest.raises(NoProgressError, match=r"^right_pencil: offset search below floor") as info:
+        _shrink_offset(1.0, x, y, lambda t_: -I2, 1e-9, tracer, "right_pencil")
+    assert counts["eigh"] == 38
+    steps = info.value.trace.steps
+    assert [s.name for s in steps] == ["before", "right_pencil"]
+    assert steps[-1].data == {"t0": 1.0, "eps": 2.0**-41, "shrinks": 38, "failed": True}
 
 
 def replay_two_sum(terms, trace) -> dict:
@@ -449,32 +485,50 @@ def scalar_fixture():
 
 def test_grow_margins_first_checks_are_stacked_then_grown_in_order(monkeypatch):
     base = np.eye(2)
-    offsets = np.array([np.diag([-3.0, 1.0]), np.diag([1.0, 1.0]), np.diag([-3.0, 1.0])])
-    required = np.array([0.5, 5.0, -2.0])
-    labels = ["first", "second", "third"]
+    # required = -lambda_min(offset, base): 0, 3, -2 and 0
+    offsets = np.array([np.diag([0.0, 1.0]), np.diag([-3.0, 1.0]),
+                        np.diag([2.0, 3.0]), np.diag([0.0, 5.0])])
+    labels = ["first", "second", "third", "fourth"]
+    tested = []
+    positive = posdecomp._positive
+
+    def spy(stack, *args, **kwargs):
+        tested.append(np.array(stack))
+        return positive(stack, *args, **kwargs)
+
+    monkeypatch.setattr(posdecomp, "_positive", spy)
     counts = count_linalg(monkeypatch, "eigh")
-    # entry 0 starts at 1 and fails; v -> 2v + 1 gives 3, where diag(0, 4) is PSD but not PD,
-    # then 7. Entry 1 holds at 10. Entry 2 starts at 0 and grows by 2v + 2: 2 fails, 6 holds.
-    values = _grow_margins(required, base, offsets, True, 1e-9, _Tracer(), labels)
-    assert values.tolist() == [7.0, 10.0, 6.0]
-    assert counts["eigh"] == 1 + 2 + 2
-    values = _grow_margins(required, base, offsets, False, 1e-9, _Tracer(), labels)
-    assert values.tolist() == [3.0, 10.0, 6.0]
-    assert _grow_margins(np.zeros(0), base, offsets[:0], True, 1e-9, _Tracer(), []).size == 0
+    # entries 0 and 3 start at 0, where the offset is PSD but not PD, and grow by v -> 2v + 1
+    # to 1; entry 1 holds at 6 and entry 2 at 0. One pencil solve, one stacked check, two growths.
+    values, stack = _grow_margins(base, offsets, True, 1e-9, _Tracer(), labels)
+    assert values.tolist() == [1.0, 6.0, 0.0, 1.0]
+    assert np.array_equal(stack, values[:, None, None] * base + offsets)
+    assert counts["eigh"] == 1 + 1 + 2
+    assert [len(t) for t in tested] == [4, 1, 1]
+    assert np.array_equal(tested[1][0], offsets[0] + base)
+    assert np.array_equal(tested[2][0], offsets[3] + base)
+    values, stack = _grow_margins(base, offsets, False, 1e-9, _Tracer(), labels)
+    assert values.tolist() == [0.0, 6.0, 0.0, 0.0]
+    assert np.array_equal(stack, values[:, None, None] * base + offsets)
+
+
+def test_grow_margins_on_an_empty_stack():
+    values, stack = _grow_margins(np.eye(2), np.zeros((0, 2, 2)), True, 1e-9, _Tracer(), [])
+    assert values.shape == (0,) and stack.shape == (0, 2, 2)
 
 
 def test_grow_margins_stall_raises_with_label_and_failed_step():
-    base = np.diag([1.0, -1.0])
-    # the first entry grows and passes at 3; v * base + 0 is never PSD, so the second stalls
-    # (and the third would)
-    offsets = np.array([np.diag([-3.0, 100.0]), np.zeros((2, 2)), np.zeros((2, 2))])
+    base = np.diag([1.0, 1e-12])
+    # the first entry grows and passes at 1; (v - 1/4) base keeps lambda_min below the
+    # threshold 1e-9 max(1, ||.||_F) at every v, so the second stalls (and the third would)
+    offsets = np.array([np.diag([0.0, 1.0]), -0.25 * base, np.zeros((2, 2))])
     tracer = _Tracer()
     tracer.add("before")
-    with pytest.raises(NoProgressError, match=r"^lambda_\(0, 1\): margin search stalled$") as info:
-        _grow_margins(np.array([0.5, 0.25, 0.0]), base, offsets, False, 1e-9, tracer,
-                      ["lambda_(0, 0)", "lambda_(0, 1)", "lambda_(1, 0)"])
+    with pytest.raises(NoProgressError, match=r"^beta_\(0, 1\): margin search stalled$") as info:
+        _grow_margins(base, offsets, True, 1e-9, tracer,
+                      ["beta_(0, 0)", "beta_(0, 1)", "beta_(1, 0)"])
     steps = info.value.trace.steps
-    assert [s.name for s in steps] == ["before", "lambda_(0, 1)"]
+    assert [s.name for s in steps] == ["before", "beta_(0, 1)"]
     assert steps[-1].data == {"required": 0.25, "failed": True}
     assert type(steps[-1].data["required"]) is float
     assert isinstance(info.value, NumericalError)
@@ -758,22 +812,23 @@ def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
 def test_pd_decompose_work_counts(monkeypatch, d):
     """Counts, not wall time: the eigh calls of pd_decompose do not grow with
     the d^2 basis pairs. One classifies the input, one solves the diagonal
-    pencil, each offset try makes at most two, and the margin and lift
-    stages make two each for beta, alpha and lambda (a pencil solve and a
-    stacked check), when no first candidate needs growing."""
+    pencil, each offset try makes one (a stacked check of the pair), and the
+    margin and lift stages make two each for beta, alpha and lambda (a pencil
+    solve and a stacked check), when no first candidate needs growing."""
     s = psd_sum(np.random.default_rng(48), d, d * d)
     counts = count_linalg(monkeypatch, "eigh", "eigvalsh")
     signed, trace = pd_decompose(s)
     made = dict(counts)
     check_pd_output(signed, to_liouville(s))
     shrinks = trace.step("diag_pencil").data["shrinks"]
-    assert made["eigh"] <= 10 + 2 * shrinks
+    assert made["eigh"] == 9 + shrinks
     assert made["eigvalsh"] == 0
 
 
 def test_decompositions_classify_without_classify_hermitian(monkeypatch):
     """Counts: each "classify" step reads one stacked lambda_min and computes no witness, so
-    the only phase fixes of a d = 8 pd_decompose are the witnesses of its two pencil solves."""
+    the only phase fixes of a d = 8 pd_decompose are the two witnesses of its diagonal pencil
+    solve. The other pencils, two_sum_pd's among them, yield their smallest eigenvalue only."""
     rng = np.random.default_rng(540)
     s = psd_sum(rng, 8, 64)
     pairs = [(random_pd(rng, 3), random_pd(rng, 3)) for _ in range(2)]
@@ -782,8 +837,9 @@ def test_decompositions_classify_without_classify_hermitian(monkeypatch):
         (core, "fix_phase"), (pencil, "fix_phase"),
     ])
     pd_decompose(s)
-    assert calls == {"classify_hermitian": 0, "fix_phase": 4}
+    assert calls == {"classify_hermitian": 0, "fix_phase": 2}
     two_sum_pd(*pairs[0], *pairs[1])
+    assert calls == {"classify_hermitian": 0, "fix_phase": 2}
     one_sum_positive(*pairs[0])
     assert calls["classify_hermitian"] == 0
 
