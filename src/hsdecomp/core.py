@@ -13,8 +13,10 @@ Conventions
   (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F));
   ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
   the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``.
-  Only ``classify_superop`` and ``diag_blocks`` call ``classify_hermitian`` (for its
-  witness and kernel); the rest read ``_lambda_min_stack`` (NaN where not Hermitian). Not
+  Only ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and
+  kernel; the rest read ``_lambda_min_stack`` (NaN where not Hermitian). ``classify_superop``,
+  ``classify_form``, ``equivalence_constants`` and ``pd_decompose`` classify from the ``eigh``
+  an LRSum stores, after the rule at their own tol. Not
   yet: the ``pd_decompose`` drop threshold, ``_nonvanishing_vector``, ``_independent_subset``,
   the one-sum zero and two-sum vanishing-factor tests, ``selfadjoint_decompose``'s inline test.
 - Eigenvector output is phase-normalized (first nonzero component real
@@ -232,18 +234,19 @@ def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return defects > tol * norms, tol * np.maximum(1.0, norms)
 
 
-def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _lambda_min_stack(ts, tol: float, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
 
     The values are those ``classify_hermitian`` reports, from ``_tolerance_rule`` and one
     batched ``eigh``: lambda_min is NaN where the Hermiticity test fails. A matrix is
     positive definite iff lambda_min > threshold and positive semidefinite iff
-    lambda_min >= -threshold (both false for NaN).
+    lambda_min >= -threshold (both false for NaN). ``spectrum``, if given, returns that
+    ``eigh`` of the Hermitian parts (of the one matrix, for k = 1) after the rule has passed.
     """
     ts = np.asarray(ts, dtype=_COMPLEX)
     non_hermitian, threshold = _tolerance_rule(ts, tol)
-    lam = np.linalg.eigh(hermitian_part(ts))[0][:, 0]
-    return np.where(non_hermitian, math.nan, lam), threshold
+    w = spectrum()[0] if spectrum else np.linalg.eigh(hermitian_part(ts))[0]
+    return np.where(non_hermitian, math.nan, w[..., 0]), threshold
 
 
 def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
@@ -273,12 +276,18 @@ def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     threshold band), above it is PositiveDefinite.
     """
     t = as_square_matrix(t, "T")
+    return _classify(t, tol, lambda: np.linalg.eigh(hermitian_part(t)))
+
+
+def _classify(t: np.ndarray, tol: float, spectrum) -> PositivityReport:
+    """``classify_hermitian`` of the square matrix ``t``, with ``spectrum()`` the ``eigh`` of
+    its Hermitian part, called only when the rule finds ``t`` Hermitian."""
     (non_hermitian,), (threshold,) = _tolerance_rule(t[None], tol)
     if non_hermitian:
         w, v = np.linalg.eigh(1j * skew_part(t))
         lam, kernel_dim, witness = math.nan, 0, v[:, int(np.argmax(np.abs(w)))]
     else:
-        w, v = np.linalg.eigh(hermitian_part(t))
+        w, v = spectrum()
         lam = float(w[0])
         kernel_dim = int(np.count_nonzero(np.abs(w) <= threshold))
         witness = v[:, 0]

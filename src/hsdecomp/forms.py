@@ -27,7 +27,7 @@ from .core import (
 )
 from .exceptions import HypothesisViolatedError, InputError, NotInnerProductError
 from .pencil import pencil_extremes
-from .superop import LRSum, apply_superop, to_liouville, unvec
+from .superop import LRSum, _hermitian_spectrum, apply_superop, to_liouville, unvec
 
 __all__ = [
     "FormKind",
@@ -82,9 +82,10 @@ _FORM_KINDS = {
 }
 
 
-def _form_class(m: np.ndarray, tol: float) -> FormClass:
-    """The form class of a Liouville matrix, from the class of its stacked positivity test."""
-    (lam,), (threshold,) = _lambda_min_stack(m[None], tol)
+def _form_class(phi: Form, m: np.ndarray, tol: float) -> FormClass:
+    """The form class of ``phi``, whose Liouville matrix is ``m``, from the class of its
+    stacked positivity test."""
+    (lam,), (threshold,) = _lambda_min_stack(m[None], tol, lambda: _hermitian_spectrum(phi.op))
     return FormClass(_FORM_KINDS[_positivity_class(lam, threshold)], float(lam))
 
 
@@ -95,7 +96,7 @@ def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
     Hermitian (not an inner product: kernel vectors have vanishing form),
     PositiveDefinite -> DefiniteInnerProduct. No witness is computed.
     """
-    return _form_class(to_liouville(phi.op), tol)
+    return _form_class(phi, to_liouville(phi.op), tol)
 
 
 def form_norm(phi: Form) -> float:
@@ -188,8 +189,8 @@ def equivalence_constants(
     unstacked to matrices, attain them.
     """
     m1, m2 = to_liouville(phi1.op), to_liouville(phi2.op)
-    for name, m in (("first", m1), ("second", m2)):
-        fc = _form_class(m, tol)
+    for name, phi, m in (("first", phi1, m1), ("second", phi2, m2)):
+        fc = _form_class(phi, m, tol)
         if not fc.is_inner_product:
             raise NotInnerProductError(
                 f"{name} form classifies {fc.kind.value}, not an inner product"

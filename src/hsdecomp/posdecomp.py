@@ -51,7 +51,7 @@ from .exceptions import (
     NotSelfadjointError,
 )
 from .pencil import _pencil_minima, pencil_extremes
-from .superop import LRSum, LRTerm, left_blocks, selfadjoint_blocks, to_liouville
+from .superop import LRSum, LRTerm, _hermitian_spectrum, left_blocks, selfadjoint_blocks, to_liouville
 
 __all__ = [
     "SignedTerm",
@@ -223,13 +223,13 @@ def _sum_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.concatenate([first[None], terms]))
 
 
-def _classified(m: np.ndarray, tol: float, strict: bool = True) -> _Tracer:
+def _classified(m: np.ndarray, tol: float, strict: bool = True, spectrum=None) -> _Tracer:
     """A tracer holding the "classify" step of the Liouville matrix ``m``.
 
     Raises NotPositiveDefiniteError unless ``m`` is positive definite (``strict``), or else
     NotPositiveError when ``m`` is zero or, tested after that, not positive semidefinite.
-    """
-    (lam,), (threshold,) = _lambda_min_stack(m[None], tol)
+    ``spectrum`` is that of ``_lambda_min_stack``."""
+    (lam,), (threshold,) = _lambda_min_stack(m[None], tol, spectrum)
     kind = _positivity_class(lam, threshold)
     tracer = _Tracer()
     tracer.add("classify", kind=kind.value, lambda_min=float(lam))
@@ -439,7 +439,7 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
         If any margin or offset search stalls (carries the trace).
     """
     m = to_liouville(s)
-    tracer = _classified(m, tol)
+    tracer = _classified(m, tol, spectrum=lambda: _hermitian_spectrum(s))
     d = s.dim
     if d == 1:
         c = m[0, 0].real

@@ -293,6 +293,20 @@ def count_calls(monkeypatch, targets):
     return counts
 
 
+def liouville_builds(monkeypatch, modules):
+    """Wrap the ``to_liouville`` that each module binds; returns the live list of the distinct
+    matrices it returned, one per build, since a stored matrix comes back as the same object."""
+    built = []
+    for module in modules:
+        def wrapper(s, _fn=module.to_liouville):
+            m = _fn(s)
+            if not any(m is x for x in built):
+                built.append(m)
+            return m
+        monkeypatch.setattr(module, "to_liouville", wrapper)
+    return built
+
+
 def classify_form_reference(phi, tol=1e-9):
     """The form classifier as one full ``classify_hermitian`` call on the Liouville matrix."""
     report = classify_hermitian(to_liouville(phi.op), tol)

@@ -29,11 +29,12 @@ from hsdecomp import (
     unvec,
     zeta_transform,
 )
-from hsdecomp import core, forms, pencil
+from hsdecomp import core, forms, pencil, superop
 from helpers import (
     build_inner_product_error_reference,
     classify_form_reference,
     count_linalg,
+    liouville_builds,
     psd_sum,
     random_hermitian,
     random_lrsum,
@@ -498,3 +499,18 @@ def test_classify_form_work_counts(monkeypatch):
     classify_form(phi)
     assert calls == {"to_liouville": 1, "classify_hermitian": 0, "fix_phase": 0}
     assert linalg == {"eigh": 1, "eigvalsh": 0}
+
+
+def test_equivalence_constants_reads_classified_forms(monkeypatch):
+    """Counts: once both forms are classified, their Liouville matrices and spectra are
+    stored, so the only eigensolve left is the pencil's and no matrix is built."""
+    rng = np.random.default_rng(533)
+    phi1, phi2 = Form(psd_sum(rng, 4, 3)), Form(psd_sum(rng, 4, 2))
+    classify_form(phi1)
+    classify_form(phi2)
+    stored = [to_liouville(phi1.op), to_liouville(phi2.op)]
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    after = liouville_builds(monkeypatch, (forms, superop))
+    equivalence_constants(phi1, phi2)
+    assert linalg == {"eigh": 1, "eigvalsh": 0}
+    assert len(after) == 2 and all(m is x for m, x in zip(after, stored))

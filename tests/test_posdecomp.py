@@ -27,12 +27,13 @@ from hsdecomp import (
     pd_decompose,
     pencil_eigh,
     pencil_extremes,
+    selfadjoint_decompose,
     to_liouville,
     two_sum_pd,
     zeta_check,
     zeta_transform,
 )
-from hsdecomp import core, pencil, posdecomp
+from hsdecomp import core, pencil, posdecomp, superop
 from hsdecomp.pencil import _pencil_minima
 from hsdecomp.posdecomp import (
     _Tracer, _factor_stacks, _grow_margins, _shrink_offset, _zeta_conditions,
@@ -45,6 +46,7 @@ from helpers import (
     count_calls,
     count_linalg,
     find_zeta_certificate_reference,
+    liouville_builds,
     pencil_oracle,
     psd_sum,
     random_hermitian,
@@ -823,6 +825,21 @@ def test_pd_decompose_work_counts(monkeypatch, d):
     shrinks = trace.step("diag_pencil").data["shrinks"]
     assert made["eigh"] == 9 + shrinks
     assert made["eigvalsh"] == 0
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_pipeline_builds_the_liouville_matrix_once(monkeypatch, d):
+    """Counts: on one LRSum, classify_superop, selfadjoint_decompose and pd_decompose share
+    one Liouville matrix, and pd_decompose classifies from the spectrum classify_superop
+    stored, one eigh fewer than the 9 + shrinks of a fresh sum."""
+    s = psd_sum(np.random.default_rng(48), d, d * d)
+    built = liouville_builds(monkeypatch, (superop, posdecomp))
+    classify_superop(s)
+    selfadjoint_decompose(s)
+    counts = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    _, trace = pd_decompose(s)
+    assert len(built) == 1
+    assert counts == {"eigh": 8 + trace.step("diag_pencil").data["shrinks"], "eigvalsh": 0}
 
 
 def test_decompositions_classify_without_classify_hermitian(monkeypatch):
