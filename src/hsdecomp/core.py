@@ -10,15 +10,18 @@ Conventions
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
 - One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
-  (||T - T*||_F > tol * ||T||_F) and eigenvalue thresholds (tol * max(1, ||T||_F));
-  ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
-  the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``.
-  Only ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and
-  kernel; the rest read ``_lambda_min_stack`` (NaN where not Hermitian). ``classify_superop``,
-  ``classify_form``, ``equivalence_constants`` and ``pd_decompose`` classify from the ``eigh``
-  an LRSum stores, after the rule at their own tol. Not
-  yet: the ``pd_decompose`` drop threshold, ``_nonvanishing_vector``, ``_independent_subset``,
-  the one-sum zero and two-sum vanishing-factor tests, ``selfadjoint_decompose``'s inline test.
+  (||T - T*||_F > tol * ||T||_F), ``selfadjoint_decompose``'s and ``diag_blocks``' too. Every
+  eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s: the rule's, the
+  ``pd_decompose`` drop test's (at tol 1e-13), ``_nonvanishing_vector``'s, the two-sum
+  vanishing-factor test's and the ray-limit slack's. ``_positivity_class`` maps
+  (lambda_min, threshold) to the class for ``classify_hermitian``, the decompositions'
+  "classify" steps, ``classify_form`` and ``build_inner_product``. Only ``classify_superop``
+  (via ``_classify``) and ``diag_blocks`` report a witness and kernel; the rest read
+  ``_lambda_min_stack`` (NaN where not Hermitian). ``classify_superop``, ``classify_form``,
+  ``equivalence_constants`` and ``pd_decompose`` classify from the ``eigh`` an LRSum stores,
+  after the rule at their own tol. Different on purpose: the one-sum zero test ||M||_F <= tol
+  (absolute), the sigma_max-relative rank tests of ``_independent_subset`` and
+  ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +69,11 @@ def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError(f"{name}: entries must be finite")
     return m
+
+
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an integer, numpy's included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _check_index(dim: int, idx: int, label: str) -> None:
@@ -212,6 +221,11 @@ def _hypot_norms(ts: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return norms
 
 
+def _threshold(norm, tol: float):
+    """The eigenvalue threshold tol * max(1, norm) for a Frobenius norm or an array of them."""
+    return tol * np.maximum(1.0, norm)
+
+
 def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The positivity rule on a complex (k, n, n) stack: (non_hermitian, threshold) per matrix.
 
@@ -231,7 +245,7 @@ def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
             norms, defects = _hypot_norms(ts, norms), _hypot_norms(skew, defects)
             if not (np.isfinite(norms).all() and np.isfinite(defects).all()):
                 raise InputError("T: Frobenius norm exceeds the float range")
-    return defects > tol * norms, tol * np.maximum(1.0, norms)
+    return defects > tol * norms, _threshold(norms, tol)
 
 
 def _lambda_min_stack(ts, tol: float, spectrum=None) -> tuple[np.ndarray, np.ndarray]:

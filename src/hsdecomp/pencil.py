@@ -61,6 +61,8 @@ def _solve(b, c) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pencil eigenvalues and C-orthonormal eigenvectors, unphased."""
     b = hermitian_part(as_square_matrix(b, "b"))
     c = hermitian_part(as_square_matrix(c, "c"))
+    if b.shape != c.shape:
+        raise InputError(f"dimension mismatch: {b.shape[0]} vs {c.shape[0]}")
     w, y, l_inv = _reduced_eigh(b, c)
     if not np.isfinite(w).all():
         raise NumericalError(_OVERFLOW)

@@ -30,9 +30,11 @@ from .core import (
     PositivityClass,
     _frob_norms,
     _hermitian_units,
+    _is_integer,
     _lambda_min_stack,
     _positive,
     _positivity_class,
+    _threshold,
     _tolerance_rule,
     as_square_matrix,
     classify_hermitian,
@@ -74,6 +76,7 @@ _COMPLEX = np.complex128
 
 _EPS_START = 0.125
 _EPS_FLOOR = 2.0**-40
+_DROP_TOL = 1e-13  # pd_decompose drops a remainder block below the threshold at this tol
 
 
 # The negative-leading-term decomposition is an LRSum whose first term may
@@ -156,7 +159,7 @@ def _nonvanishing_vector(x: np.ndarray, tol: float) -> tuple[np.ndarray, complex
     Falls back to the extreme direction of the skew part when the
     Hermitian part is negligible (purely imaginary numerical range).
     """
-    threshold = tol * max(1.0, frob_norm(x))
+    threshold = _threshold(frob_norm(x), tol)
     for part in (hermitian_part(x), 1j * skew_part(x)):
         w, v = np.linalg.eigh(part)
         f = v[:, int(np.argmax(np.abs(w)))]
@@ -316,10 +319,10 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
     ]
     dim = terms[0][0].shape[0]
     tracer = _classified(to_liouville(LRSum.from_pairs(terms)), tol)
-    factor_scale = max(1.0, max(frob_norm(x) for pair in terms for x in pair))
+    zero_threshold = _threshold(max(frob_norm(x) for pair in terms for x in pair), tol)
 
     def near_zero(x) -> bool:
-        return frob_norm(x) <= tol * factor_scale
+        return frob_norm(x) <= zero_threshold
 
     # stage 1: make both right factors positive definite
     for _ in range(2):
@@ -492,8 +495,7 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     # the ratios are divided as Python complex scalars, whose rounding differs from numpy's
     ratios = np.array([g / gamma11 for g in gamma.tolist()])
     rest = blocks[others] - ratios[:, None, None] * diag1
-    drop_threshold = 1e-13 * max(1.0, frob_norm(m))
-    keep = _frob_norms(rest) > drop_threshold
+    keep = _frob_norms(rest) > _threshold(frob_norm(m), _DROP_TOL)
     rest, kept = rest[keep], others[keep]
 
     # margin stage: stacked first checks for all beta, then alpha
@@ -628,7 +630,7 @@ def _misses_at_ray_limit(lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, bounds:
     scale = frob_norm(lead.a) + float(zetas @ _frob_norms(a_n))
     rounding = 8.0 * (len(a_n) + len(lead.a)) * np.finfo(float).eps * scale
     # a NaN s_margin (S not Hermitian) makes the slack NaN and leaves the miss undecided
-    slack = tol * max(1.0, scale + rounding) + np.maximum(0.0, -s_margin) + rounding
+    slack = _threshold(scale + rounding, tol) + np.maximum(0.0, -s_margin) + rounding
     return bool(a_margin < -slack)
 
 
@@ -654,8 +656,9 @@ def find_zeta_certificate(
     produced here are) lambda_min cannot fall as k grows, so one stacked
     ``eigh`` of the limit's a-matrix and S settles the search: the walk is
     skipped when the limit margin is below minus a slack. The slack is the
-    largest threshold any k could use, tol max(1, ||a_1||_F + sum
-    zeta_n ||a_n||_F) at the limit zetas, plus the negative part of
+    largest threshold any k could use, the rule's own (``core._threshold``,
+    tol max(1, ·)) of the norm bound ||a_1||_F + sum zeta_n ||a_n||_F at the
+    limit zetas (plus its rounding), plus the negative part of
     lambda_min(S), plus the rounding of the sums and of ``eigh``, 8 (N + d) u
     times that norm sum, for N non-negative terms. In every other case (a NaN
     margin, a limit that passes or a margin within the slack) the walk runs,
@@ -664,10 +667,10 @@ def find_zeta_certificate(
     Raises
     ------
     InputError
-        If ``max_halvings`` < 1 or the decomposition has the wrong shape.
+        If ``max_halvings`` is not an integer >= 1 or the decomposition has the wrong shape.
     """
-    if max_halvings < 1:
-        raise InputError(f"max_halvings must be at least 1, got {max_halvings}")
+    if not _is_integer(max_halvings) or max_halvings < 1:
+        raise InputError(f"max_halvings must be an integer of at least 1, got {max_halvings!r}")
     _check_zeta_shape(decomp, len(decomp.terms) - 1)
     lead = decomp.terms[0]
     if not _positive(lead.b[None], tol)[0]:

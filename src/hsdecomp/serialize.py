@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from .core import _is_integer
 from .exceptions import InputError
 from .posdecomp import DecompositionTrace
 from .superop import LRSum, LRTerm
@@ -121,7 +122,7 @@ def obj_to_operator(obj) -> LRSum:
     if "dim" not in obj or "terms" not in obj:
         raise InputError("operator: required fields 'dim' and 'terms'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+    if not _is_integer(dim) or dim < 1:
         raise InputError(f"operator: dim must be a positive integer, got {dim!r}")
     raw_terms = obj["terms"]
     if not isinstance(raw_terms, list):
@@ -131,7 +132,7 @@ def obj_to_operator(obj) -> LRSum:
         if not isinstance(term, dict) or "a" not in term or "b" not in term:
             raise InputError(f"operator: term {i} must be an object with 'a' and 'b'")
         sign = term.get("sign", 1)
-        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        if not _is_integer(sign) or sign not in (1, -1):
             raise InputError(f"operator: term {i} sign must be 1 or -1, got {sign!r}")
         a = rows_to_matrix(term["a"], dim, f"term {i} 'a'")
         b = rows_to_matrix(term["b"], dim, f"term {i} 'b'")

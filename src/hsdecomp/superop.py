@@ -35,7 +35,9 @@ from .core import (
     DEFAULT_TOL,
     PositivityReport,
     _hermitian_units,
+    _is_integer,
     _matrix_units,
+    _tolerance_rule,
     as_square_matrix,
     _classify,
     frob_norm,
@@ -62,17 +64,22 @@ __all__ = [
 _COMPLEX = np.complex128
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class LRTerm:
-    """One left-right multiplication summand eta -> sign * a eta b, sign = +-1."""
+    """One left-right multiplication summand eta -> sign * a eta b, sign = +-1.
+
+    The sign is an integer, stored as a Python int. Terms are equal when their signs and the
+    entries of their factors are; they are not hashable.
+    """
 
     a: np.ndarray
     b: np.ndarray
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if not _is_integer(self.sign) or self.sign not in (1, -1):
             raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "sign", int(self.sign))
         a = as_square_matrix(self.a, "a")
         b = as_square_matrix(self.b, "b")
         if a.shape != b.shape:
@@ -83,6 +90,12 @@ class LRTerm:
         b.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if not isinstance(other, LRTerm):
+            return NotImplemented
+        return (self.sign == other.sign and np.array_equal(self.a, other.a)
+                and np.array_equal(self.b, other.b))
 
     @property
     def dim(self) -> int:
@@ -102,8 +115,9 @@ class LRSum:
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not _is_integer(self.dim) or self.dim < 1:
             raise InputError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         terms = tuple(
             t if isinstance(t, LRTerm) else LRTerm(*t) for t in self.terms
         )
@@ -397,12 +411,15 @@ def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
 
     Raises
     ------
+    InputError
+        If ``tol`` is not positive or the Liouville matrix is not finite.
     NotSelfadjointError
         If the Liouville matrix fails the Hermiticity test at ``tol``.
     """
     m = to_liouville(s)
-    defect = frob_norm(m - m.conj().T)
-    if defect > tol * frob_norm(m):
+    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
+    if non_hermitian:
+        defect = frob_norm(m - m.conj().T)
         raise NotSelfadjointError(
             f"Liouville matrix is not Hermitian: defect {defect:.3e} "
             f"exceeds tol * norm = {tol * frob_norm(m):.3e}"

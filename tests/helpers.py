@@ -29,7 +29,9 @@ from hsdecomp import (
     ZetaCertificate,
     apply_superop,
     classify_hermitian,
+    counterexample_superop,
     frob_norm,
+    from_liouville,
     matrix_unit,
     pencil_extremes,
     to_liouville,
@@ -96,6 +98,21 @@ def random_pd_liouville(rng, d, margin=(0.3, 1.5)):
     h = random_hermitian(rng, d * d)
     lo = np.linalg.eigvalsh(h)[0]
     return h + (abs(lo) + rng.uniform(*margin)) * np.eye(d * d)
+
+
+def scale_law_corpus(rng) -> dict:
+    """Named operators for the scale law: a positive definite, a PSD-singular (rank one short)
+    and an indefinite Liouville matrix (a positive definite one less twice its lambda_min) at
+    each d = 1..4, and ``counterexample_superop(1e-9)``."""
+    out = {}
+    for d in range(1, 5):
+        n = d * d
+        out[f"pd-d{d}"] = from_liouville(random_pd_liouville(rng, d))
+        out[f"psd-singular-d{d}"] = from_liouville(random_psd(rng, n, rank=n - 1))
+        m = random_pd_liouville(rng, d)
+        out[f"indefinite-d{d}"] = from_liouville(m - 2 * np.linalg.eigvalsh(m)[0] * np.eye(n))
+    out["counterexample-1e-9"] = counterexample_superop(1e-9)
+    return out
 
 
 def liouville_by_action(s: LRSum) -> np.ndarray:

@@ -572,3 +572,19 @@ def test_unwritable_out_is_input_error_on_stdout(t, report, tmp_path, capsys):
         assert error["message"] == "t must lie in (0, 1/2), got 0.75"
     assert err == f"hsdecomp counterexample: error: {error['message']}\n"
     assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "pd-decompose", "decompose-selfadjoint"])
+def test_overflowing_liouville_matrix_is_input_error_under_warnings_as_errors(command):
+    # the Liouville matrix of (1e200 I, 1e200 I) is 1e400 I: every command that tests its
+    # Hermiticity refuses it through the tolerance rule, without a warning
+    obj = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", command], input=json.dumps(obj),
+        capture_output=True, text=True,
+    )
+    assert code.returncode == 1, code.stderr
+    error = json.loads(code.stdout)["error"]
+    assert error == {"type": "InputError", "message": "T: entries must be finite"}
+    assert "Traceback" not in code.stderr
+    assert code.stderr == f"hsdecomp {command}: error: {error['message']}\n"

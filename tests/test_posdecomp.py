@@ -644,6 +644,14 @@ def test_zeta_search_rejects_no_halvings():
     assert find_zeta_certificate(signed, max_halvings=1) is not None
 
 
+def test_zeta_search_rejects_non_integer_halvings():
+    signed, _ = pd_decompose(identity_superop(2))
+    for bad in (1.5, 2.0, True, "3", None):
+        with pytest.raises(InputError, match="max_halvings must be an integer of at least 1"):
+            find_zeta_certificate(signed, max_halvings=bad)
+    assert find_zeta_certificate(signed, max_halvings=np.int64(1)) is not None
+
+
 def a_passes_b_fails_fixture():
     """Along the search ray the a-condition holds from k = 12 on, while
     b_2 - zeta_2 b_1 = 2^-k 1e-6 I is below the threshold from k = 10 on."""
@@ -966,6 +974,12 @@ def test_pencil_against_oracle():
         for k in range(d):
             resid = b @ v[:, k] - w[k] * (c @ v[:, k])
             assert np.linalg.norm(resid) < 1e-9 * max(1, np.linalg.norm(b))
+
+
+def test_pencil_dimension_mismatch_is_input_error():
+    for solve in (pencil_eigh, pencil_extremes):
+        with pytest.raises(InputError, match="^dimension mismatch: 2 vs 3$"):
+            solve(np.eye(2), np.eye(3))
 
 
 def test_pencil_d1():

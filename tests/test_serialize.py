@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hsdecomp import InputError, LRSum, SignedLRSum, identity_superop
+from hsdecomp import InputError, LRSum, LRTerm, SignedLRSum, identity_superop
 from hsdecomp.serialize import (
     canonical_digest,
     canonical_dumps,
@@ -294,3 +294,23 @@ def test_jsonify_values():
     assert jsonify({(0, 1): 2.0}) == {"0,1": 2.0}
     assert jsonify(np.array([1j, 2])) == [[0.0, 1.0], [2.0, 0.0]]
     assert math.isclose(jsonify(np.eye(2))[0][0][0], 1.0)
+
+
+def test_constructors_follow_the_wire_format_sign_and_dim_rule():
+    eye = np.eye(2)
+    ref = LRSum(2, (LRTerm(eye, eye, -1), LRTerm(eye, eye)))
+    digest = canonical_digest(operator_to_obj(ref))
+    for dim, neg, pos in [(2, -1, 1), (np.int64(2), np.int64(-1), np.int64(1)),
+                          (np.uint8(2), np.int8(-1), np.uint8(1))]:
+        s = LRSum(dim, (LRTerm(eye, eye, neg), LRTerm(eye, eye, pos)))
+        assert type(s.dim) is int and all(type(t.sign) is int for t in s.terms)
+        obj = operator_to_obj(s)
+        assert obj_to_operator(json.loads(canonical_dumps(obj))) == ref
+        assert canonical_digest(obj) == digest
+    # a sign is the integer 1 or -1, never a bool or a float, as on the wire
+    for sign in (True, False, 1.0, -1.0, np.float64(1.0), np.bool_(True), 2, "1"):
+        with pytest.raises(InputError, match="sign must be"):
+            LRTerm(eye, eye, sign)
+    for dim in (True, 2.0, 0):
+        with pytest.raises(InputError, match="dim must be a positive integer"):
+            LRSum(dim)
