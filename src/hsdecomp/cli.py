@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import forms, posdecomp, superop
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, _check_dim
 from .exceptions import InputError, NumericalError
 from .posdecomp import ZetaCertificate
 from .serialize import (
@@ -261,8 +261,7 @@ def _cmd_counterexample(args):
 
 def _cmd_build_ip(args):
     dim, a_rows, b_rows = _read_fields(args, "dim", "a", "b")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    dim = _check_dim(dim)
     if not isinstance(a_rows, list) or not isinstance(b_rows, list):
         raise InputError("'a' and 'b' must be arrays of matrices")
     a_list = [rows_to_matrix(rows, dim, f"a[{i}]") for i, rows in enumerate(a_rows)]
@@ -288,7 +287,8 @@ def _cmd_form_eval(args):
         "tau": matrix_to_rows(tau),
     })
     value = forms.eval_form(forms.Form(op), eta, tau)
-    return _report(args, digest, result={"value": jsonify(value)})
+    # a plain pair, so that a NaN fails rendering instead of becoming null
+    return _report(args, digest, result={"value": [value.real, value.imag]})
 
 
 def _cmd_equiv(args):

@@ -10,18 +10,18 @@ Conventions
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
 - One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
-  (||T - T*||_F > tol * ||T||_F), ``selfadjoint_decompose``'s and ``diag_blocks``' too. Every
-  eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s: the rule's, the
-  ``pd_decompose`` drop test's (at tol 1e-13), ``_nonvanishing_vector``'s, the two-sum
-  vanishing-factor test's and the ray-limit slack's. ``_positivity_class`` maps
-  (lambda_min, threshold) to the class for ``classify_hermitian``, the decompositions'
-  "classify" steps, ``classify_form`` and ``build_inner_product``. Only ``classify_superop``
-  (via ``_classify``) and ``diag_blocks`` report a witness and kernel; the rest read
-  ``_lambda_min_stack`` (NaN where not Hermitian). ``classify_superop``, ``classify_form``,
-  ``equivalence_constants`` and ``pd_decompose`` classify from the ``eigh`` an LRSum stores,
-  after the rule at their own tol. Different on purpose: the one-sum zero test ||M||_F <= tol
-  (absolute), the sigma_max-relative rank tests of ``_independent_subset`` and
-  ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
+  (||T - T*||_F > tol * ||T||_F). Every eigenvalue threshold, tol * max(1, ||T||_F), is
+  ``_threshold``'s: the rule's, the ``pd_decompose`` drop test's (at tol 1e-13),
+  ``_nonvanishing_vector``'s, the two-sum vanishing-factor test's and the ray-limit slack's.
+  ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
+  the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``. Only
+  ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and kernel;
+  the rest read lambda_min (NaN where not Hermitian), of a matrix stack from
+  ``_lambda_min_stack``. Operators are classified in ``superop``: its ``_operator_lambda_min``
+  reads the ``eigh`` an LRSum stores and ``_selfadjoint_liouville`` refuses a non-selfadjoint
+  operator, each after the rule at the caller's tol. Different on purpose: the one-sum zero
+  test ||M||_F <= tol (absolute), the sigma_max-relative rank tests of ``_independent_subset``
+  and ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -76,15 +76,21 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
-def _check_index(dim: int, idx: int, label: str) -> None:
-    if not 1 <= idx <= dim:
-        raise InputError(f"index {label}={idx} out of range 1..{dim}")
+def _check_dim(dim) -> int:
+    """``dim`` as a Python int; InputError unless it is an integer of at least 1."""
+    if not _is_integer(dim) or dim < 1:
+        raise InputError(f"dim must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
+def _check_index(dim: int, idx, label: str) -> None:
+    if not _is_integer(idx) or not 1 <= idx <= dim:
+        raise InputError(f"index {label} must be an integer in 1..{dim}, got {idx!r}")
 
 
 def matrix_unit(dim: int, n: int, m: int) -> np.ndarray:
     """Rank-one matrix unit with a single 1 at row n, column m (1-based)."""
-    if dim < 1:
-        raise InputError(f"dim must be >= 1, got {dim}")
+    dim = _check_dim(dim)
     _check_index(dim, n, "n")
     _check_index(dim, m, "m")
     e = np.zeros((dim, dim), dtype=_COMPLEX)
@@ -248,18 +254,17 @@ def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     return defects > tol * norms, _threshold(norms, tol)
 
 
-def _lambda_min_stack(ts, tol: float, spectrum=None) -> tuple[np.ndarray, np.ndarray]:
+def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """lambda_min and eigenvalue threshold of each matrix in a (k, n, n) stack.
 
     The values are those ``classify_hermitian`` reports, from ``_tolerance_rule`` and one
     batched ``eigh``: lambda_min is NaN where the Hermiticity test fails. A matrix is
     positive definite iff lambda_min > threshold and positive semidefinite iff
-    lambda_min >= -threshold (both false for NaN). ``spectrum``, if given, returns that
-    ``eigh`` of the Hermitian parts (of the one matrix, for k = 1) after the rule has passed.
+    lambda_min >= -threshold (both false for NaN).
     """
     ts = np.asarray(ts, dtype=_COMPLEX)
     non_hermitian, threshold = _tolerance_rule(ts, tol)
-    w = spectrum()[0] if spectrum else np.linalg.eigh(hermitian_part(ts))[0]
+    w = np.linalg.eigh(hermitian_part(ts))[0]
     return np.where(non_hermitian, math.nan, w[..., 0]), threshold
 
 

@@ -22,12 +22,11 @@ from .core import (
     _lambda_min_stack,
     _positivity_class,
     as_square_matrix,
-    frob_inner,
     op_norm,
 )
 from .exceptions import HypothesisViolatedError, InputError, NotInnerProductError
 from .pencil import pencil_extremes
-from .superop import LRSum, _hermitian_spectrum, apply_superop, to_liouville, unvec
+from .superop import LRSum, _operator_lambda_min, apply_superop, to_liouville, unvec
 
 __all__ = [
     "FormKind",
@@ -70,8 +69,15 @@ class Form:
 
 
 def eval_form(phi: Form, eta, tau) -> complex:
-    """Evaluate the form; conjugate-linear in ``eta``, linear in ``tau``."""
-    return frob_inner(eta, apply_superop(phi.op, tau))
+    """Evaluate the form; conjugate-linear in ``eta``, linear in ``tau``.
+
+    A value beyond the float range comes out infinite (or NaN), without a warning.
+    """
+    eta, tau = as_square_matrix(eta, "eta"), as_square_matrix(tau, "tau")
+    for name, x in (("eta", eta), ("tau", tau)):
+        if x.shape[0] != phi.dim:
+            raise InputError(f"dimension mismatch: form dim {phi.dim}, {name} dim {x.shape[0]}")
+    return complex(np.vdot(eta, apply_superop(phi.op, tau)))
 
 
 _FORM_KINDS = {
@@ -82,10 +88,9 @@ _FORM_KINDS = {
 }
 
 
-def _form_class(phi: Form, m: np.ndarray, tol: float) -> FormClass:
-    """The form class of ``phi``, whose Liouville matrix is ``m``, from the class of its
-    stacked positivity test."""
-    (lam,), (threshold,) = _lambda_min_stack(m[None], tol, lambda: _hermitian_spectrum(phi.op))
+def _form_class(phi: Form, tol: float) -> FormClass:
+    """The form class of ``phi`` from the positivity class of its operator."""
+    lam, threshold = _operator_lambda_min(phi.op, tol)
     return FormClass(_FORM_KINDS[_positivity_class(lam, threshold)], float(lam))
 
 
@@ -96,7 +101,7 @@ def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
     Hermitian (not an inner product: kernel vectors have vanishing form),
     PositiveDefinite -> DefiniteInnerProduct. No witness is computed.
     """
-    return _form_class(phi, to_liouville(phi.op), tol)
+    return _form_class(phi, tol)
 
 
 def form_norm(phi: Form) -> float:
@@ -188,16 +193,15 @@ def equivalence_constants(
     second Liouville matrix against the first; pencil eigenvectors,
     unstacked to matrices, attain them.
     """
-    m1, m2 = to_liouville(phi1.op), to_liouville(phi2.op)
-    for name, phi, m in (("first", phi1, m1), ("second", phi2, m2)):
-        fc = _form_class(phi, m, tol)
+    for name, phi in (("first", phi1), ("second", phi2)):
+        fc = _form_class(phi, tol)
         if not fc.is_inner_product:
             raise NotInnerProductError(
                 f"{name} form classifies {fc.kind.value}, not an inner product"
             )
     if phi1.dim != phi2.dim:
         raise InputError(f"form dimensions disagree: {phi1.dim} vs {phi2.dim}")
-    ext = pencil_extremes(m2, m1)
+    ext = pencil_extremes(to_liouville(phi2.op), to_liouville(phi1.op))
     c_lo = float(np.sqrt(max(ext.lambda_min, 0.0)))
     c_hi = float(np.sqrt(max(ext.lambda_max, 0.0)))
     return EquivalenceResult(

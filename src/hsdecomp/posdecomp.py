@@ -35,7 +35,6 @@ from .core import (
     _positive,
     _positivity_class,
     _threshold,
-    _tolerance_rule,
     as_square_matrix,
     classify_hermitian,
     frob_norm,
@@ -50,10 +49,10 @@ from .exceptions import (
     NoProgressError,
     NotPositiveDefiniteError,
     NotPositiveError,
-    NotSelfadjointError,
 )
 from .pencil import _pencil_minima, pencil_extremes
-from .superop import LRSum, LRTerm, _hermitian_spectrum, left_blocks, selfadjoint_blocks, to_liouville
+from .superop import (LRSum, LRTerm, _operator_lambda_min, _selfadjoint_liouville, left_blocks,
+                      selfadjoint_blocks, to_liouville)
 
 __all__ = [
     "SignedTerm",
@@ -226,17 +225,16 @@ def _sum_in_order(first: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.concatenate([first[None], terms]))
 
 
-def _classified(m: np.ndarray, tol: float, strict: bool = True, spectrum=None) -> _Tracer:
-    """A tracer holding the "classify" step of the Liouville matrix ``m``.
+def _classified(s: LRSum, tol: float, strict: bool = True) -> _Tracer:
+    """A tracer holding the "classify" step of the operator ``s``.
 
-    Raises NotPositiveDefiniteError unless ``m`` is positive definite (``strict``), or else
-    NotPositiveError when ``m`` is zero or, tested after that, not positive semidefinite.
-    ``spectrum`` is that of ``_lambda_min_stack``."""
-    (lam,), (threshold,) = _lambda_min_stack(m[None], tol, spectrum)
+    Raises NotPositiveDefiniteError unless ``s`` is positive definite (``strict``), or else
+    NotPositiveError when ``s`` is zero or, tested after that, not positive semidefinite."""
+    lam, threshold = _operator_lambda_min(s, tol)
     kind = _positivity_class(lam, threshold)
     tracer = _Tracer()
     tracer.add("classify", kind=kind.value, lambda_min=float(lam))
-    if not strict and frob_norm(m) <= tol:
+    if not strict and frob_norm(to_liouville(s)) <= tol:
         raise NotPositiveError("superoperator is zero")
     if strict and kind is not PositivityClass.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError(
@@ -258,7 +256,7 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     """
     a = as_square_matrix(a, "a")
     b = as_square_matrix(b, "b")
-    tracer = _classified(to_liouville(LRSum.from_pairs([(a, b)])), tol, strict=False)
+    tracer = _classified(LRSum.from_pairs([(a, b)]), tol, strict=False)
     f0, alpha = _nonvanishing_vector(b, tol)
     a_hat = alpha * a
     b_hat = b / alpha
@@ -318,7 +316,7 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         (as_square_matrix(a2, "a2"), as_square_matrix(b2, "b2")),
     ]
     dim = terms[0][0].shape[0]
-    tracer = _classified(to_liouville(LRSum.from_pairs(terms)), tol)
+    tracer = _classified(LRSum.from_pairs(terms), tol)
     zero_threshold = _threshold(max(frob_norm(x) for pair in terms for x in pair), tol)
 
     def near_zero(x) -> bool:
@@ -398,10 +396,7 @@ def diag_blocks(s: LRSum, tol: float = DEFAULT_TOL) -> list[tuple[np.ndarray, An
     PSD, and for a positive definite operator each block's greatest lower
     bound is at least the operator's.
     """
-    m = to_liouville(s)
-    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
-    if non_hermitian:
-        raise NotSelfadjointError("superoperator is not selfadjoint")
+    m = _selfadjoint_liouville(s, tol)
     return [(block, classify_hermitian(block, tol)) for block in left_blocks(m)[:: s.dim + 1]]
 
 
@@ -441,8 +436,8 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     NoProgressError
         If any margin or offset search stalls (carries the trace).
     """
+    tracer = _classified(s, tol)
     m = to_liouville(s)
-    tracer = _classified(m, tol, spectrum=lambda: _hermitian_spectrum(s))
     d = s.dim
     if d == 1:
         c = m[0, 0].real
@@ -621,13 +616,13 @@ def _misses_at_ray_limit(lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, bounds:
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are tested below
         combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
         ray_sum = (bounds[:, None, None] * a_n).sum(axis=0)
+        scale = frob_norm(lead.a) + float(zetas @ _frob_norms(a_n))  # inf: an infinite slack
     if not np.isfinite(b_diffs).all():
         return False
     try:  # the rule rejects combined or ray_sum if not finite or of too large a norm
         (a_margin, s_margin), _ = _lambda_min_stack(np.stack([combined, ray_sum]), tol)
     except InputError:
         return False
-    scale = frob_norm(lead.a) + float(zetas @ _frob_norms(a_n))
     rounding = 8.0 * (len(a_n) + len(lead.a)) * np.finfo(float).eps * scale
     # a NaN s_margin (S not Hermitian) makes the slack NaN and leaves the miss undecided
     slack = _threshold(scale + rounding, tol) + np.maximum(0.0, -s_margin) + rounding

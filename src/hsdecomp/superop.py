@@ -26,7 +26,7 @@ pickling. They hold no tolerance; every call applies its own ``tol``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from math import isqrt, nan
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,7 +34,9 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     PositivityReport,
+    _check_dim,
     _hermitian_units,
+    _hypot_norms,
     _is_integer,
     _matrix_units,
     _tolerance_rule,
@@ -115,9 +117,7 @@ class LRSum:
     _derived: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _is_integer(self.dim) or self.dim < 1:
-            raise InputError(f"dim must be a positive integer, got {self.dim!r}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         terms = tuple(
             t if isinstance(t, LRTerm) else LRTerm(*t) for t in self.terms
         )
@@ -161,7 +161,7 @@ class LRSum:
 
 
 def identity_superop(dim: int) -> LRSum:
-    eye = np.eye(dim, dtype=_COMPLEX)
+    eye = np.eye(_check_dim(dim), dtype=_COMPLEX)
     return LRSum.from_pairs([(eye, eye)], dim)
 
 
@@ -173,21 +173,24 @@ def vec(eta) -> np.ndarray:
 def unvec(x, dim: int | None = None) -> np.ndarray:
     """Inverse of :func:`vec`."""
     x = np.asarray(x, dtype=_COMPLEX).reshape(-1)
-    if dim is None:
-        dim = isqrt(x.size)
+    dim = isqrt(x.size) if dim is None else _check_dim(dim)
     if dim * dim != x.size:
         raise InputError(f"vector of length {x.size} is not a stacked {dim}x{dim} matrix")
     return x.reshape((dim, dim), order="F")
 
 
 def apply_superop(s: LRSum, eta) -> np.ndarray:
-    """Evaluate sum_n s_n a_n eta b_n by direct matrix products."""
+    """Evaluate sum_n s_n a_n eta b_n by direct matrix products.
+
+    An entry beyond the float range comes out infinite (or NaN), without a warning.
+    """
     eta = as_square_matrix(eta, "eta")
     if eta.shape[0] != s.dim:
         raise InputError(f"dimension mismatch: operator dim {s.dim}, eta dim {eta.shape[0]}")
     out = np.zeros((s.dim, s.dim), dtype=_COMPLEX)
-    for t in s.as_lrsum().terms:
-        out += t.a @ eta @ t.b
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite image
+        for t in s.as_lrsum().terms:
+            out += t.a @ eta @ t.b
     return out
 
 
@@ -226,6 +229,26 @@ def _hermitian_spectrum(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
         for x in spectrum:
             x.setflags(write=False)
     return spectrum
+
+
+def _operator_lambda_min(s: LRSum, tol: float) -> tuple[float, float]:
+    """``_lambda_min_stack`` of ``to_liouville(s)`` alone, read from the stored spectrum."""
+    (non_hermitian,), (threshold,) = _tolerance_rule(to_liouville(s)[None], tol)
+    return (nan if non_hermitian else _hermitian_spectrum(s)[0][0]), threshold
+
+
+def _selfadjoint_liouville(s: LRSum, tol: float) -> np.ndarray:
+    """``to_liouville(s)``; NotSelfadjointError unless it passes the Hermiticity test at ``tol``."""
+    m = to_liouville(s)
+    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
+    if non_hermitian:
+        with np.errstate(over="ignore"):  # a norm whose square overflows is taken again by hypot
+            skew = m - m.conj().T
+            norms = np.array([frob_norm(skew), frob_norm(m)])
+        defect, norm = _hypot_norms(np.stack([skew, m]), norms)
+        raise NotSelfadjointError(f"Liouville matrix is not Hermitian: defect {defect:.3e} "
+                                  f"exceeds tol * norm = {tol * norm:.3e}")
+    return m
 
 
 def _liouville_dim(m: np.ndarray) -> int:
@@ -344,7 +367,9 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     j, size = 0, 1
     while j < ncols:
         if not kept:
-            if np.linalg.norm(stack[:, j]) > threshold:
+            with np.errstate(over="ignore"):  # a norm beyond the float range is inf, kept
+                independent = np.linalg.norm(stack[:, j]) > threshold
+            if independent:
                 kept, size = [j], 2
             else:
                 coeffs[j] = np.zeros(0, dtype=_COMPLEX)
@@ -416,14 +441,7 @@ def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     NotSelfadjointError
         If the Liouville matrix fails the Hermiticity test at ``tol``.
     """
-    m = to_liouville(s)
-    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
-    if non_hermitian:
-        defect = frob_norm(m - m.conj().T)
-        raise NotSelfadjointError(
-            f"Liouville matrix is not Hermitian: defect {defect:.3e} "
-            f"exceeds tol * norm = {tol * frob_norm(m):.3e}"
-        )
+    m = _selfadjoint_liouville(s, tol)
     terms = [
         LRTerm(hat, right)
         for hat, right in zip(_hermitian_units(s.dim), selfadjoint_blocks(m))

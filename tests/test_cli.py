@@ -588,3 +588,46 @@ def test_overflowing_liouville_matrix_is_input_error_under_warnings_as_errors(co
     assert error == {"type": "InputError", "message": "T: entries must be finite"}
     assert "Traceback" not in code.stderr
     assert code.stderr == f"hsdecomp {command}: error: {error['message']}\n"
+
+
+_HUGE_SUM = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}
+_HUGE_SIGNED = {"dim": 2, "terms": [{"sign": -1, "a": _HUGE, "b": _HUGE},
+                                    {"a": _HUGE, "b": _HUGE}]}
+
+
+def _run_warnings_as_errors(command, obj):
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", command], input=json.dumps(obj),
+        capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize("command, obj, message", [
+    # the images F(I) = 1e400 I and F(1e200 I) = 1e600 I overflow
+    ("apply", {"sum": _HUGE_SUM, "eta": _EYE}, "report is not finite"),
+    ("form-eval", {"sum": _HUGE_SUM, "eta": _HUGE, "tau": _HUGE}, "report is not finite"),
+    # -F + F: the ray-limit slack of the certificate search is infinite, so the walk runs
+    ("zeta-transform", _HUGE_SIGNED, "no valid zeta certificate found by the search"),
+], ids=["apply", "form-eval", "zeta-transform"])
+def test_overflowing_operator_is_numerical_error_under_warnings_as_errors(command, obj, message):
+    # F = (1e200 I, 1e200 I): an overflow inside a command must not warn, so under -W error
+    # it ends in the error report, not in a traceback
+    code = _run_warnings_as_errors(command, obj)
+    assert code.returncode == 2, code.stderr
+    error = json.loads(code.stdout)["error"]
+    assert error["type"] == "NumericalError"
+    assert error["message"].startswith(message)
+    assert code.stderr == f"hsdecomp {command}: error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("command, obj, result", [
+    # the one factor's norm overflows: an infinite norm keeps the term
+    ("reduce", _HUGE_SUM, {"term_count": 1}),
+    ("zeta-check", _HUGE_SIGNED, {"ok": False, "zetas": None, "b_margins": None,
+                                  "a_margin": None, "searched": True}),
+], ids=["reduce", "zeta-check"])
+def test_overflowing_operator_is_reported_under_warnings_as_errors(command, obj, result):
+    code = _run_warnings_as_errors(command, obj)
+    assert code.returncode == 0, code.stderr
+    assert code.stderr == ""
+    assert json.loads(code.stdout)["result"] == result

@@ -8,8 +8,10 @@ from hsdecomp import (
     frob_inner,
     frob_norm,
     hermitian_unit,
+    identity_superop,
     matrix_unit,
     op_norm,
+    unvec,
 )
 from hsdecomp.core import (
     _frob_norms,
@@ -321,3 +323,24 @@ def test_positivity_class_bands():
             lam >= -threshold)
     assert _positivity_class(np.nan, threshold) is PositivityClass.NON_HERMITIAN
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_unit(2.5, 1, 1), "dim must be a positive integer, got 2.5"),
+    (lambda: matrix_unit(True, 1, 1), "dim must be a positive integer, got True"),
+    (lambda: matrix_unit(0, 1, 1), "dim must be a positive integer, got 0"),
+    (lambda: matrix_unit(2, 1.5, 1), "index n must be an integer in 1..2, got 1.5"),
+    (lambda: matrix_unit(2, 1, 3), "index m must be an integer in 1..2, got 3"),
+    (lambda: hermitian_unit(2.0, 1, 2), "dim must be a positive integer, got 2.0"),
+    (lambda: identity_superop(2.0), "dim must be a positive integer, got 2.0"),
+    (lambda: identity_superop(0), "dim must be a positive integer, got 0"),
+    (lambda: unvec(range(4), -2), "dim must be a positive integer, got -2"),
+    (lambda: unvec(range(4), 2.0), "dim must be a positive integer, got 2.0"),
+], ids=["matrix_unit-float-dim", "matrix_unit-bool-dim", "matrix_unit-zero-dim",
+        "matrix_unit-float-index", "matrix_unit-index-range", "hermitian_unit-float-dim",
+        "identity_superop-float-dim", "identity_superop-zero-dim", "unvec-negative-dim",
+        "unvec-float-dim"])
+def test_dims_and_indices_follow_the_integer_rule(call, message):
+    # one rule, core._is_integer: bools and floats are refused as InputError
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

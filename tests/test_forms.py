@@ -60,6 +60,25 @@ def test_eval_form_identity_is_frobenius():
         assert eval_form(phi, eta, tau) == pytest.approx(frob_inner(eta, tau), abs=1e-12)
 
 
+@pytest.mark.parametrize("eta, tau, message", [
+    ([[np.nan, 0], [0, 1]], np.eye(2), "eta: entries must be finite"),
+    (np.eye(2), [[np.nan, 0], [0, 1]], "tau: entries must be finite"),
+    (np.eye(3), np.eye(2), "dimension mismatch: form dim 2, eta dim 3"),
+    (np.eye(2), np.eye(3), "dimension mismatch: form dim 2, tau dim 3"),
+], ids=["eta-nan", "tau-nan", "eta-dim", "tau-dim"])
+def test_eval_form_names_the_bad_argument(eta, tau, message):
+    with pytest.raises(InputError) as info:
+        eval_form(Form(identity_superop(2)), eta, tau)
+    assert str(info.value) == message
+
+
+def test_eval_form_beyond_the_float_range_is_not_finite():
+    # the image A(tau) = 1e600 I is not an argument: it is not validated, and no warning escapes
+    big = 1e200 * np.eye(2)
+    value = eval_form(Form(LRSum.from_pairs([(big, big)])), big, big)
+    assert not np.isfinite(value)
+
+
 def test_eval_form_counterexample_unit():
     phi = Form(counterexample_superop(0.25))
     e12 = matrix_unit(2, 1, 2)
@@ -495,9 +514,11 @@ def test_build_inner_product_work_counts(monkeypatch):
 def test_classify_form_work_counts(monkeypatch):
     phi = Form(psd_sum(np.random.default_rng(532), 3, 2))
     linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
-    calls = spy(monkeypatch, FORM_SPIES)
+    built = liouville_builds(monkeypatch, (forms, superop))
+    calls = spy(monkeypatch, FORM_SPIES[1:])
     classify_form(phi)
-    assert calls == {"to_liouville": 1, "classify_hermitian": 0, "fix_phase": 0}
+    assert len(built) == 1
+    assert calls == {"classify_hermitian": 0, "fix_phase": 0}
     assert linalg == {"eigh": 1, "eigvalsh": 0}
 
 

@@ -359,7 +359,7 @@ def test_diag_blocks_psd_singular_fixture():
 
 def test_diag_blocks_rejects_non_hermitian():
     s = LRSum.from_pairs([(matrix_unit(2, 1, 2), matrix_unit(2, 1, 2))], 2)
-    with pytest.raises(NotSelfadjointError):
+    with pytest.raises(NotSelfadjointError, match="^Liouville matrix is not Hermitian: defect "):
         diag_blocks(s)
 
 

@@ -24,7 +24,7 @@ from hsdecomp import (
     unvec,
     vec,
 )
-from hsdecomp.posdecomp import counterexample_superop, pd_decompose
+from hsdecomp.posdecomp import counterexample_superop, diag_blocks, pd_decompose
 from hsdecomp.superop import _independent_subset
 from helpers import (
     count_linalg,
@@ -457,6 +457,18 @@ def test_selfadjoint_decompose_rejects_nonselfadjoint():
     s = LRSum.from_pairs([(matrix_unit(2, 1, 2), matrix_unit(2, 1, 2))], 2)
     with pytest.raises(NotSelfadjointError):
         selfadjoint_decompose(s)
+
+
+@pytest.mark.parametrize("refuse", [selfadjoint_decompose, diag_blocks])
+def test_non_selfadjoint_refusal_reports_a_norm_whose_square_overflows(refuse):
+    # the Liouville matrix has one entry 1e160, so ||M||_F^2 = 1e320 overflows: the message
+    # takes the norms without a warning, which pytest would raise
+    a = 1e80 * matrix_unit(2, 1, 2)
+    with pytest.raises(NotSelfadjointError) as info:
+        refuse(LRSum.from_pairs([(a, a)]))
+    assert str(info.value) == (
+        "Liouville matrix is not Hermitian: defect 1.414e+160 exceeds tol * norm = 1.000e+151"
+    )
 
 
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
