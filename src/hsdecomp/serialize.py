@@ -179,7 +179,13 @@ def trace_to_obj(trace: DecompositionTrace) -> dict:
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Sorted keys, compact separators, no NaN or infinity.
+
+    The library renders only trees it built or JSON it parsed, so there is no
+    cycle check: a cyclic object raises ``RecursionError``, not ``ValueError``.
+    """
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
+                      check_circular=False)
 
 
 def canonical_digest(obj) -> str:

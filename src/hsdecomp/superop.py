@@ -171,9 +171,9 @@ def vec(eta) -> np.ndarray:
 
 
 def unvec(x, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`."""
+    """Inverse of :func:`vec`; without ``dim``, the length must be d² for a positive d."""
     x = np.asarray(x, dtype=_COMPLEX).reshape(-1)
-    dim = isqrt(x.size) if dim is None else _check_dim(dim)
+    dim = max(1, isqrt(x.size)) if dim is None else _check_dim(dim)
     if dim * dim != x.size:
         raise InputError(f"vector of length {x.size} is not a stacked {dim}x{dim} matrix")
     return x.reshape((dim, dim), order="F")
@@ -347,21 +347,37 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     Returns (kept_indices, coefficients) where ``coefficients[j]`` expands
     a dependent column j over the columns kept before it (``lstsq``). In
     input order, a column is kept if its norm (while none is kept), or
-    sigma_min of the kept columns plus it, exceeds tol * (largest singular
-    value of the full stack). Once the kept columns span the whole space
-    every further column is dependent.
+    sigma_min of the kept columns plus it, exceeds the threshold
+    tol * sigma_1, sigma_1 >= sigma_2 >= ... being the singular values of
+    the full stack; ``rank`` counts those above the threshold.
 
-    The tests run on galloping blocks of the next columns, clipped to the
-    columns and rows left. Adding a column cannot raise sigma_min while
-    columns <= rows (singular-value interlacing), so a passing block is
-    kept whole and doubles; a failing block halves, and a failing single
-    column is rejected on the very matrix the one-column test uses.
+    Every decision rests on interlacing: dropping columns never raises a
+    singular value (Golub & Van Loan, *Matrix Computations*, 4th ed., 8.6).
+    Two rules follow from the one SVD of the full stack:
+
+    - Full column rank: if ``rank`` is the number of columns, sigma_min of
+      every prefix is at least sigma_min of the full stack, above the
+      threshold, so every column is kept with no further SVD.
+    - Rank reached: any rank + 1 columns have sigma_min <= sigma_{rank+1}
+      <= threshold, so once ``rank`` columns are kept every later column
+      is dependent with no SVD and goes straight to its ``lstsq``.
+
+    Before that the tests run on galloping blocks of the next columns,
+    clipped to the columns left and to ``rank`` minus the columns kept;
+    the first block after the first kept column is that whole bound. A
+    passing block is kept whole (each prefix passes too) and doubles; a
+    failing block halves, and a failing single column is rejected on the
+    very matrix the one-column test uses.
     """
     if not columns:
         return [], {}
     stack = np.column_stack(columns)
-    rows, ncols = stack.shape
-    threshold = tol * float(np.linalg.svd(stack, compute_uv=False)[0])
+    ncols = stack.shape[1]
+    svals = np.linalg.svd(stack, compute_uv=False)
+    threshold = tol * float(svals[0])
+    rank = int(np.count_nonzero(svals > threshold))
+    if rank == ncols:
+        return list(range(ncols)), {}
     kept: list[int] = []
     coeffs: dict[int, np.ndarray] = {}
     j, size = 0, 1
@@ -370,14 +386,14 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
             with np.errstate(over="ignore"):  # a norm beyond the float range is inf, kept
                 independent = np.linalg.norm(stack[:, j]) > threshold
             if independent:
-                kept, size = [j], 2
+                kept, size = [j], rank
             else:
                 coeffs[j] = np.zeros(0, dtype=_COMPLEX)
             j += 1
             continue
-        size = min(size, ncols - j, rows - len(kept))
+        size = min(size, ncols - j, rank - len(kept))
         block = list(range(j, j + size))
-        if size and np.linalg.svd(stack[:, kept + block], compute_uv=False)[-1] > threshold:
+        if size > 0 and np.linalg.svd(stack[:, kept + block], compute_uv=False)[-1] > threshold:
             kept += block
             j += size
             size *= 2

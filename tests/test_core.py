@@ -335,10 +335,12 @@ def test_positivity_class_bands():
     (lambda: identity_superop(0), "dim must be a positive integer, got 0"),
     (lambda: unvec(range(4), -2), "dim must be a positive integer, got -2"),
     (lambda: unvec(range(4), 2.0), "dim must be a positive integer, got 2.0"),
+    (lambda: unvec([]), "vector of length 0 is not a stacked 1x1 matrix"),
+    (lambda: unvec(range(3)), "vector of length 3 is not a stacked 1x1 matrix"),
 ], ids=["matrix_unit-float-dim", "matrix_unit-bool-dim", "matrix_unit-zero-dim",
         "matrix_unit-float-index", "matrix_unit-index-range", "hermitian_unit-float-dim",
         "identity_superop-float-dim", "identity_superop-zero-dim", "unvec-negative-dim",
-        "unvec-float-dim"])
+        "unvec-float-dim", "unvec-empty", "unvec-length-3"])
 def test_dims_and_indices_follow_the_integer_rule(call, message):
     # one rule, core._is_integer: bools and floats are refused as InputError
     with pytest.raises(InputError) as info:

@@ -287,6 +287,16 @@ def test_canonical_dumps_sorts_keys():
     assert canonical_dumps({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
 
+def test_canonical_dumps_has_no_cycle_check():
+    # the library renders only trees it built or JSON it parsed; a cycle recurses
+    loop, node = [], {}
+    loop.append(loop)
+    node["self"] = node
+    for obj in (loop, node, {"a": [1, loop]}):
+        with pytest.raises(RecursionError):
+            canonical_dumps(obj)
+
+
 def test_jsonify_values():
     assert jsonify(1 + 2j) == [1.0, 2.0]
     assert jsonify(float("nan")) is None

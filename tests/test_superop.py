@@ -391,26 +391,107 @@ def test_independent_subset_matches_reference():
     assert np.count_nonzero((ratios > 1) & (ratios < 10)) >= 50
 
 
+def rank_reached_corpus(rng):
+    """Seeded (columns, tol, rank) stacks that reach their rank before their last column.
+
+    d^2 rows, rank r in 1..d^2-1. Before the rank is reached, r fresh columns (scaled by
+    1e-2..1e2) are mixed with zero columns and exact duplicates; after it, a shuffled tail
+    of duplicates, scaled duplicates, zero columns and near-threshold columns: small
+    combinations of the fresh ones plus 0.5..0.95 times tol * sigma_max along mutually
+    orthogonal directions outside their span, so sigma_{r+1} of the stack stays below the
+    threshold while each near column's sigma_min test sits at 0.1..1 times it.
+    """
+    def cvec(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+    for d in [2, 3, 4] * 8:
+        n = d * d
+        r = int(rng.integers(1, n))
+        tol = float(rng.choice([1e-9, 1e-6]))
+        fresh = [cvec(n) * 10.0 ** rng.uniform(-2, 2) for _ in range(r)]
+        head = []
+        for col in fresh:
+            while rng.random() < 0.3:
+                head.append(np.zeros(n, dtype=complex) if rng.random() < 0.5 or not head
+                            else head[int(rng.integers(len(head)))].copy())
+            head.append(col)
+        threshold = tol * np.linalg.svd(np.column_stack(head), compute_uv=False)[0]
+        q = np.linalg.qr(np.column_stack(fresh + [cvec(n) for _ in range(n - r)]))[0]
+        tail = []
+        for k in range(n - r):
+            comb = sum(c * col for c, col in zip(0.3 * cvec(r) / np.sqrt(r), fresh))
+            tail.append(comb + rng.uniform(0.5, 0.95) * threshold * q[:, r + k])
+        for _ in range(int(rng.integers(1, 6))):
+            pick = fresh[int(rng.integers(r))]
+            tail += [pick.copy(), cvec(1)[0] * pick, np.zeros(n, dtype=complex)]
+        order = rng.permutation(len(tail))
+        yield head + [tail[i] for i in order], tol, r
+
+
+def test_independent_subset_takes_no_svd_once_the_rank_is_reached(monkeypatch):
+    """After the first SVD, no rank test sees more columns than the stack's rank: every
+    column after the rank is reached goes straight to its lstsq, with the kept list and
+    coefficient bits of the one-SVD-per-column rule."""
+    cases = list(rank_reached_corpus(np.random.default_rng(64)))
+    refs = [independent_subset_reference(cols, tol) for cols, tol, _ in cases]
+    ratios = []
+    for (cols, tol, _), (kept, _) in zip(cases, refs):
+        stack = np.column_stack(cols)
+        threshold = tol * np.linalg.svd(stack, compute_uv=False)[0]
+        for j in range(kept[-1] + 1, len(cols)):
+            smin = np.linalg.svd(stack[:, kept + [j]], compute_uv=False)[-1]
+            ratios.append(smin / threshold)
+    assert np.count_nonzero((np.array(ratios) > 0.1) & (np.array(ratios) <= 1)) >= 100
+    widths, svd = [], np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for (cols, tol, r), ref in zip(cases, refs):
+        widths.clear()
+        got = _independent_subset(cols, tol)
+        assert widths[0] == len(cols) and all(w <= r for w in widths[1:]), (r, widths)
+        assert len(ref[0]) == r
+        assert_same_subset(got, ref)
+
+
+def test_independent_subset_full_column_rank_takes_one_svd(monkeypatch):
+    """A stack of full column rank keeps every column on the one SVD of the whole stack."""
+    rng = np.random.default_rng(65)
+    counts = count_linalg(monkeypatch, "svd", "lstsq")
+    for d, ncols in [(2, 1), (2, 4), (3, 5), (4, 16), (8, 40)]:
+        cols = [random_matrix(rng, d, 10.0 ** rng.uniform(-3, 3)).reshape(-1)
+                for _ in range(ncols)]
+        counts.update(svd=0, lstsq=0)
+        assert _independent_subset(cols, 1e-9) == (list(range(ncols)), {})
+        assert counts == {"svd": 1, "lstsq": 0}
+
+
 def test_reduce_terms_svd_count_d8(monkeypatch):
-    """Counts, not wall time: a d = 8, 65-term I (x) I + PSD (x) PSD sum reduces with at
-    most 16 SVDs (one column at a time takes 128)."""
+    """Counts, not wall time: a d = 8, 65-term I (x) I + PSD (x) PSD sum reduces with
+    3 SVDs (one column at a time takes 128): the left pass's full stack and one block
+    that reaches its rank, then the full-rank right pass; the last left column is
+    folded by one lstsq."""
     s = psd_sum(np.random.default_rng(62), 8, 64)
-    counts = count_linalg(monkeypatch, "svd")
+    counts = count_linalg(monkeypatch, "svd", "lstsq")
     red = reduce_terms(s)
-    assert counts["svd"] <= 16
+    assert counts["svd"] <= 3
+    assert counts["lstsq"] == 1
     assert len(red) == 64
     assert rel_err(to_liouville(red), to_liouville(s)) <= 1e-9
 
 
 def test_reduce_terms_svd_count_dependent_heavy(monkeypatch):
-    """Counts: 40 copies of 3 matrices at d = 3 take at most 2 SVDs per column plus one per
-    pass; every copy is still folded into the 3 kept terms."""
+    """Counts: 40 copies of 3 matrices at d = 3 take 3 SVDs in all; once the 3 are kept
+    every copy goes to its lstsq with no SVD, and is still folded into the 3 kept terms."""
     rng = np.random.default_rng(63)
     base = [random_matrix(rng, 3) for _ in range(3)]
     s = LRSum.from_pairs([(base[k % 3], random_matrix(rng, 3)) for k in range(120)], 3)
     counts = count_linalg(monkeypatch, "svd")
     red = reduce_terms(s)
-    assert counts["svd"] <= (2 * 120 + 1) + (2 * 3 + 1)
+    assert counts["svd"] <= 3
     assert len(red) == 3
     assert rel_err(to_liouville(red), to_liouville(s)) <= 1e-9
 
