@@ -32,7 +32,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import forms, posdecomp, superop
-from .core import DEFAULT_TOL, _check_dim
+from .core import DEFAULT_TOL, _check_dim, _check_tol
 from .exceptions import InputError, NumericalError
 from .posdecomp import ZetaCertificate
 from .serialize import (
@@ -425,10 +425,7 @@ def main(argv=None) -> int:
         return 1
     start = time.perf_counter()
     try:
-        if not args.tol > 0:
-            raise InputError(f"tol must be positive, got {args.tol}")
-        if args.tol == float("inf"):
-            raise InputError(f"tol must be finite, got {args.tol}")
+        _check_tol(args.tol)
         report = _COMMANDS[args.command].handler(args)
         report["elapsed_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         _write(args, _render(args, report))

@@ -9,6 +9,9 @@ Conventions
 -----------
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
+- One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it): it does
+  not overflow below the float range. A library ``tol`` must be positive and finite
+  (``_check_tol``).
 - One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
   (||T - T*||_F > tol * ||T||_F). Every eigenvalue threshold, tol * max(1, ||T||_F), is
   ``_threshold``'s: the rule's, the ``pd_decompose`` drop test's (at tol 1e-13),
@@ -130,7 +133,7 @@ def frob_inner(eta, tau) -> complex:
 
 def frob_norm(eta) -> float:
     """Frobenius norm; equals sqrt(sum of squared column norms) in any orthonormal basis."""
-    return float(np.linalg.norm(np.asarray(eta, dtype=_COMPLEX)))
+    return float(_frob_norms(np.asarray(eta, dtype=_COMPLEX).ravel(order="K")[None, None])[0])
 
 
 def op_norm(a) -> float:
@@ -206,30 +209,37 @@ class PositivityReport:
 
 
 def _frob_norms(ts: np.ndarray) -> np.ndarray:
-    """``frob_norm`` of each matrix of a complex (k, m, n) stack, bit for bit.
+    """The Frobenius norm of each matrix of a complex (k, m, n) stack; the library's only one.
 
     Like ``ravel(order="K")``, each matrix is read in memory order (the last two
     axes swap when the last has the larger stride); the scalar-output matmul of
-    each flattened real and imaginary part makes the ``dot`` call ``frob_norm`` does.
+    each flattened real and imaginary part makes the ``dot`` call ``np.linalg.norm`` does.
+    A norm whose square overflowed is taken again by ``np.hypot``, which squares nothing,
+    so no norm below the float range overflows or warns.
     """
     if abs(ts.strides[-1]) > abs(ts.strides[-2]):
         ts = ts.swapaxes(-1, -2)
     x = ts.reshape(len(ts), 1, ts.shape[-2] * ts.shape[-1])
-    sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
-    return np.sqrt(sq[:, 0, 0])
-
-
-def _hypot_norms(ts: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """``norms`` of the stack ``ts``, each infinite one (a sum of squares that overflowed)
-    taken again by ``np.hypot``, which squares nothing."""
-    big = np.isinf(norms)
-    norms[big] = np.hypot.reduce(np.abs(ts[big]).reshape(-1, ts[0].size), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for non-finite norms
+        sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+        norms = np.sqrt(sq[:, 0, 0])
+        big = np.isinf(norms)
+        if np.count_nonzero(big):
+            norms[big] = np.hypot.reduce(np.abs(x[big, 0]), axis=1)
     return norms
 
 
 def _threshold(norm, tol: float):
     """The eigenvalue threshold tol * max(1, norm) for a Frobenius norm or an array of them."""
     return tol * np.maximum(1.0, norm)
+
+
+def _check_tol(tol) -> None:
+    """InputError unless ``tol`` is positive and finite."""
+    if not tol > 0:
+        raise InputError(f"tol must be positive, got {tol}")
+    if tol == math.inf:
+        raise InputError(f"tol must be finite, got {tol}")
 
 
 def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -239,18 +249,15 @@ def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     thresholded at tol * max(1, ||T||_F). Non-finite entries are reported before a bad tol,
     and a bad tol before a norm beyond the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite norms are sorted out below
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are reported below
         skew = ts - ts.conj().swapaxes(-1, -2)
-        norms, defects = _frob_norms(ts), _frob_norms(skew)
-        finite = np.isfinite(norms + defects).all()
-        if not finite and not np.isfinite(ts).all():
-            raise InputError("T: entries must be finite")
-        if not tol > 0:
-            raise InputError(f"tol must be positive, got {tol}")
-        if not finite:
-            norms, defects = _hypot_norms(ts, norms), _hypot_norms(skew, defects)
-            if not (np.isfinite(norms).all() and np.isfinite(defects).all()):
-                raise InputError("T: Frobenius norm exceeds the float range")
+    norms, defects = _frob_norms(ts), _frob_norms(skew)
+    finite = np.isfinite(np.maximum(norms, defects)).all()  # a sum of two could overflow
+    if not finite and not np.isfinite(ts).all():
+        raise InputError("T: entries must be finite")
+    _check_tol(tol)
+    if not finite:
+        raise InputError("T: Frobenius norm exceeds the float range")
     return defects > tol * norms, _threshold(norms, tol)
 
 

@@ -35,8 +35,8 @@ from .core import (
     DEFAULT_TOL,
     PositivityReport,
     _check_dim,
+    _check_tol,
     _hermitian_units,
-    _hypot_norms,
     _is_integer,
     _matrix_units,
     _tolerance_rule,
@@ -44,6 +44,7 @@ from .core import (
     _classify,
     frob_norm,
     hermitian_part,
+    skew_part,
 )
 from .exceptions import InputError, NotSelfadjointError
 
@@ -242,10 +243,7 @@ def _selfadjoint_liouville(s: LRSum, tol: float) -> np.ndarray:
     m = to_liouville(s)
     (non_hermitian,), _ = _tolerance_rule(m[None], tol)
     if non_hermitian:
-        with np.errstate(over="ignore"):  # a norm whose square overflows is taken again by hypot
-            skew = m - m.conj().T
-            norms = np.array([frob_norm(skew), frob_norm(m)])
-        defect, norm = _hypot_norms(np.stack([skew, m]), norms)
+        defect, norm = 2 * frob_norm(skew_part(m)), frob_norm(m)
         raise NotSelfadjointError(f"Liouville matrix is not Hermitian: defect {defect:.3e} "
                                   f"exceeds tol * norm = {tol * norm:.3e}")
     return m
@@ -383,9 +381,7 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     j, size = 0, 1
     while j < ncols:
         if not kept:
-            with np.errstate(over="ignore"):  # a norm beyond the float range is inf, kept
-                independent = np.linalg.norm(stack[:, j]) > threshold
-            if independent:
+            if frob_norm(stack[:, j]) > threshold:
                 kept, size = [j], rank
             else:
                 coeffs[j] = np.zeros(0, dtype=_COMPLEX)
@@ -431,8 +427,7 @@ def reduce_terms(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     independent. Signs are folded into the left factors first. The
     Liouville matrix is preserved up to the rank threshold.
     """
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     terms = s.as_lrsum().terms
     a, b = _fold_dependent([t.a for t in terms], [t.b for t in terms], tol)
     b, a = _fold_dependent(b, a, tol)

@@ -8,9 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hsdecomp import LRSum, to_liouville
 from hsdecomp.cli import _COMMANDS, main
+from hsdecomp.serialize import obj_to_operator, operator_to_obj
+from helpers import psd_sum, rel_err
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -606,7 +610,7 @@ def _run_warnings_as_errors(command, obj):
     # the images F(I) = 1e400 I and F(1e200 I) = 1e600 I overflow
     ("apply", {"sum": _HUGE_SUM, "eta": _EYE}, "report is not finite"),
     ("form-eval", {"sum": _HUGE_SUM, "eta": _HUGE, "tau": _HUGE}, "report is not finite"),
-    # -F + F: the ray-limit slack of the certificate search is infinite, so the walk runs
+    # -F + F: no certificate exists, and the certificate search must say so without a warning
     ("zeta-transform", _HUGE_SIGNED, "no valid zeta certificate found by the search"),
 ], ids=["apply", "form-eval", "zeta-transform"])
 def test_overflowing_operator_is_numerical_error_under_warnings_as_errors(command, obj, message):
@@ -621,7 +625,7 @@ def test_overflowing_operator_is_numerical_error_under_warnings_as_errors(comman
 
 
 @pytest.mark.parametrize("command, obj, result", [
-    # the one factor's norm overflows: an infinite norm keeps the term
+    # the one factor's norm, 1.4e200, has a square beyond the float range: the term is kept
     ("reduce", _HUGE_SUM, {"term_count": 1}),
     ("zeta-check", _HUGE_SIGNED, {"ok": False, "zetas": None, "b_margins": None,
                                   "a_margin": None, "searched": True}),
@@ -631,3 +635,16 @@ def test_overflowing_operator_is_reported_under_warnings_as_errors(command, obj,
     assert code.returncode == 0, code.stderr
     assert code.stderr == ""
     assert json.loads(code.stdout)["result"] == result
+
+
+def test_pd_decompose_where_the_squared_norms_overflow_under_warnings_as_errors():
+    # each left factor times 1e155: an overflowed norm made every threshold infinite, so the
+    # report dropped every off-diagonal block and exited 0 (a warning ended it under -W error)
+    s = 1e155
+    op = LRSum.from_pairs([(s * t.a, t.b) for t in psd_sum(np.random.default_rng(5), 3, 9)], 3)
+    code = _run_warnings_as_errors("pd-decompose", operator_to_obj(op))
+    assert code.returncode == 0, code.stderr
+    assert code.stderr == ""
+    out = obj_to_operator(json.loads(code.stdout)["terms_out"]).as_lrsum()
+    assert len(out.terms) == 9
+    assert rel_err(to_liouville(out) / s, to_liouville(op) / s) <= 1e-9

@@ -5,12 +5,15 @@ from hsdecomp import (
     InputError,
     PositivityClass,
     classify_hermitian,
+    classify_superop,
     frob_inner,
     frob_norm,
     hermitian_unit,
     identity_superop,
     matrix_unit,
     op_norm,
+    pd_decompose,
+    reduce_terms,
     unvec,
 )
 from hsdecomp.core import (
@@ -205,14 +208,17 @@ def stack_layouts(rng, d, scale):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_lambda_min_stack_matches_classify_bitwise(d, scale):
-    """In six layouts: frob_norm sums in each matrix's memory order, so the stacked norms,
-    thresholds and decisions must follow the layout to keep the classifier's bytes."""
+    """In six layouts: frob_norm sums in each matrix's memory order, as np.linalg.norm does,
+    so the stacked norms, thresholds and decisions must follow the layout to keep the
+    classifier's bytes."""
     rng = np.random.default_rng(107 + d)
     for _ in range(2):
         for name, stack in stack_layouts(rng, d, scale):
             if d > 1 and name not in ("C", "every second"):
                 assert not stack[0].flags.c_contiguous, name
             norms = np.array([frob_norm(t) for t in stack])
+            numpy_norms = [np.linalg.norm(np.asarray(t, np.complex128)) for t in stack]
+            assert norms.tobytes() == np.array(numpy_norms).tobytes(), name
             assert _frob_norms(stack).tobytes() == norms.tobytes(), name
             lam, threshold = _lambda_min_stack(stack, 1e-9)
             reports = [classify_hermitian(t, 1e-9) for t in stack]
@@ -260,6 +266,26 @@ def test_lambda_min_stack_rejects_bad_tol():
         _lambda_min_stack(np.full((1, 2, 2), np.inf), 0.0)
 
 
+@pytest.mark.parametrize("tol, message", [
+    (np.inf, "tol must be finite, got inf"),
+    (np.nan, "tol must be positive, got nan"),
+    (0.0, "tol must be positive, got 0.0"),
+    (-1.0, "tol must be positive, got -1.0"),
+])
+def test_library_calls_refuse_a_tol_the_cli_refuses(tol, message):
+    """At tol = inf every threshold is infinite: classify_hermitian(I) came out PsdSingular
+    with kernel_dim 2, and reduce_terms(identity_superop(2)) the zero operator."""
+    eye, s = np.eye(2), identity_superop(2)
+    for call in (lambda: classify_hermitian(eye, tol), lambda: _lambda_min_stack(eye[None], tol),
+                 lambda: classify_superop(s, tol), lambda: reduce_terms(s, tol),
+                 lambda: pd_decompose(s, tol)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(InputError, match="T: entries must be finite"):
+        _lambda_min_stack(np.full((1, 2, 2), np.inf), tol)
+
+
 def test_a_norm_whose_square_overflows_keeps_the_rule_scale_covariant():
     """||T||_F^2 overflows above about 1.3e154, but ||T||_F does not: the threshold stays
     tol * ||T||_F, so a scaled indefinite matrix stays Indefinite and fails every PSD test."""
@@ -270,8 +296,9 @@ def test_a_norm_whose_square_overflows_keeps_the_rule_scale_covariant():
         lam, threshold = _lambda_min_stack(t[None], 1e-9)
         assert threshold[0] == pytest.approx(1e-9 * scale)
         assert not _positive(t[None], 1e-9, strict=False)[0]
-    with np.errstate(over="ignore"):  # so the rule takes its overflow path at 1e160
-        assert _frob_norms(np.diag([1e160, -1e155])[None])[0] == np.inf
+    # the sum of squares overflows at 1e160; the norm is taken again, without a warning
+    assert _frob_norms(np.diag([1e160, -1e155])[None])[0] == pytest.approx(1e160)
+    assert frob_norm([1e160, -1e155]) == pytest.approx(1e160)
 
 
 @pytest.mark.parametrize("diag, kind", [
@@ -345,4 +372,17 @@ def test_dims_and_indices_follow_the_integer_rule(call, message):
     # one rule, core._is_integer: bools and floats are refused as InputError
     with pytest.raises(InputError) as info:
         call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "T: not convertible to a complex matrix"),
+    ([[1.0, 2.0], [3.0]], "T: not convertible to a complex matrix"),
+    (np.ones((2, 3)), "T: expected a square matrix, got shape (2, 3)"),
+    (np.ones(4), "T: expected a square matrix, got shape (4,)"),
+    (np.zeros((0, 0)), "T: expected a square matrix, got shape (0, 0)"),
+], ids=["string", "ragged", "not-square", "vector", "empty"])
+def test_as_square_matrix_messages(value, message):
+    with pytest.raises(InputError) as info:
+        classify_hermitian(value)
     assert str(info.value) == message

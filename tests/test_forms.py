@@ -535,3 +535,14 @@ def test_equivalence_constants_reads_classified_forms(monkeypatch):
     equivalence_constants(phi1, phi2)
     assert linalg == {"eigh": 1, "eigvalsh": 0}
     assert len(after) == 2 and all(m is x for m, x in zip(after, stored))
+
+
+@pytest.mark.parametrize("a_list, b_list, message", [
+    ([], [], "at least one factor pair is required"),
+    ([I2, I3], [I2, I3], "factor pair 1 has inconsistent dimension"),
+    ([I2, I2], [I2, I3], "factor pair 1 has inconsistent dimension"),
+], ids=["empty", "pair-of-another-dim", "right-factor-of-another-dim"])
+def test_build_inner_product_shape_messages(a_list, b_list, message):
+    with pytest.raises(InputError) as info:
+        build_inner_product(a_list, b_list)
+    assert str(info.value) == message

@@ -478,6 +478,25 @@ def test_pd_decompose_trace_replay():
         np.testing.assert_allclose(b, produced.b, atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e154, 1e200, 1e300])
+def test_decompositions_where_the_squared_norms_overflow(s):
+    """Every factor norm here is in range but its square is not. An overflowed norm made
+    the thresholds infinite: pd_decompose dropped every off-diagonal block, two_sum_pd took
+    its one-sum fallback and one_sum_positive found no nonvanishing direction. Liouville
+    matrices are compared divided by s, where rel_err's np.linalg.norm does not overflow."""
+    rng = np.random.default_rng(5)
+    op = LRSum.from_pairs([(s * t.a, t.b) for t in psd_sum(rng, 3, 9).terms], 3)
+    a1, b1, a2, b2 = (random_pd(rng, 3) for _ in range(4))
+    signed, _ = pd_decompose(op)
+    assert rel_err(signed_liouville(signed) / s, to_liouville(op) / s) <= 1e-9
+    signed, _ = two_sum_pd(s * a1, b1, s * a2, b2)
+    m = to_liouville(LRSum.from_pairs([(s * a1, b1), (s * a2, b2)]))
+    assert rel_err(signed_liouville(signed) / s, m / s) <= 1e-9
+    a_hat, b_hat, _ = one_sum_positive(a1, s * b1)
+    m = to_liouville(LRSum.from_pairs([(a1, s * b1)]))
+    assert rel_err(to_liouville(LRSum.from_pairs([(a_hat, b_hat)])) / s, m / s) <= 1e-12
+
+
 # ---------------------------------------------------------------- zeta
 
 
@@ -764,8 +783,9 @@ def test_non_finite_zeta_difference_is_input_error():
 
 def test_overflow_at_the_ray_limit_is_left_to_the_walk():
     """zeta a_2 overflows at the limit (about 1.5 * 1.3e308) but not at k = 2, where the
-    walk finds the certificate (its Frobenius norm overflows, as in the reference, so the
-    threshold is infinite): the limit check must leave the search to the walk, not raise."""
+    walk finds the certificate (its -1 lies within the threshold tol * ||a||_F, about
+    4.9e298, as in the reference): the limit check must leave the search to the walk, not
+    raise."""
     alpha = 1.3e308
     signed = SignedLRSum(2, (
         SignedTerm(-1, np.diag([0.75 * alpha, 1.0]), I2),
@@ -1080,3 +1100,26 @@ def test_pencil_extremes_witnesses_match_pencil_eigh():
         assert ext.lambda_min == w[0] and ext.lambda_max == w[-1]
         np.testing.assert_array_equal(ext.v_min, v[:, 0] / np.linalg.norm(v[:, 0]))
         np.testing.assert_array_equal(ext.v_max, v[:, -1] / np.linalg.norm(v[:, -1]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ZetaCertificate(()), "certificate needs at least one zeta"),
+    (lambda: list(_pencil_minima(np.stack([I2, np.full((2, 2), np.nan)]), I2)),
+     "b: entries must be finite"),
+], ids=["no-zetas", "non-finite-pencil"])
+def test_zeta_and_pencil_input_messages(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lead_b, b_2", [
+    (matrix_unit(2, 1, 1), I2),  # b_1 is not positive definite
+    (I2, -I2),  # the pencil bound of b_2 against b_1 is -1
+], ids=["b1-not-pd", "bound-not-positive"])
+def test_zeta_search_gives_up_before_the_walk(lead_b, b_2, monkeypatch):
+    signed = SignedLRSum(2, (SignedTerm(-1, I2, lead_b), SignedTerm(1, I2, b_2)))
+    calls = count_calls(monkeypatch, [(posdecomp, "_zeta_conditions")])
+    assert find_zeta_certificate(signed) is None
+    assert find_zeta_certificate_reference(signed) is None
+    assert calls == {"_zeta_conditions": 0}

@@ -228,6 +228,10 @@ def test_signed_operator_round_trip():
 
 
 def test_operator_schema_errors():
+    with pytest.raises(InputError, match="^operator: expected a JSON object$"):
+        obj_to_operator([])
+    with pytest.raises(InputError, match="^operator: terms must be an array$"):
+        obj_to_operator({"dim": 2, "terms": {}})
     with pytest.raises(InputError):
         obj_to_operator({"dim": 2})
     with pytest.raises(InputError):
@@ -304,6 +308,10 @@ def test_jsonify_values():
     assert jsonify({(0, 1): 2.0}) == {"0,1": 2.0}
     assert jsonify(np.array([1j, 2])) == [[0.0, 1.0], [2.0, 0.0]]
     assert math.isclose(jsonify(np.eye(2))[0][0][0], 1.0)
+    with pytest.raises(InputError, match="^cannot serialize array of ndim 3$"):
+        jsonify(np.zeros((1, 1, 1)))
+    with pytest.raises(InputError, match="^cannot serialize value of type object$"):
+        jsonify({"x": [object()]})
 
 
 def test_constructors_follow_the_wire_format_sign_and_dim_rule():

@@ -674,3 +674,16 @@ def test_classify_superop_class_is_scale_invariant(name, exponent):
     s = _SCALE_LAW_CORPUS[name]
     scaled = LRSum(s.dim, tuple(LRTerm(10.0**exponent * t.a, t.b, t.sign) for t in s.terms))
     assert classify_superop(scaled).kind is classify_superop(s).kind
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LRTerm(np.eye(2), np.eye(3)), "term factors disagree in dimension: 2 vs 3"),
+    (lambda: LRSum(2, (LRTerm(np.eye(2), np.eye(2), -1), LRTerm(np.eye(2), np.eye(2), -1))),
+     "at most one negative term is allowed"),
+    (lambda: LRSum(2, (LRTerm(np.eye(3), np.eye(3)),)), "term dimension 3 does not match dim 2"),
+    (lambda: LRSum.from_pairs([]), "cannot infer dim from an empty pair list"),
+], ids=["factor-dims", "two-negatives", "term-dim", "empty-pairs"])
+def test_constructor_messages(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
