@@ -9,22 +9,27 @@ Conventions
 -----------
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
-- One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it): it does
-  not overflow below the float range. A library ``tol`` must be positive and finite
-  (``_check_tol``).
-- One function, ``_tolerance_rule`` on a (k, n, n) stack, decides Hermiticity
-  (||T - T*||_F > tol * ||T||_F). Every eigenvalue threshold, tol * max(1, ||T||_F), is
-  ``_threshold``'s: the rule's, the ``pd_decompose`` drop test's (at tol 1e-13),
-  ``_nonvanishing_vector``'s, the two-sum vanishing-factor test's and the ray-limit slack's.
+- One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it, and the
+  rule's norm pass its body): it does not overflow below the float range. A library ``tol``
+  must be positive and finite (``_check_tol``).
+- The positivity rule has a tol-free norm pass, ``_rule_norms`` (||T||_F and ||T - T*||_F of
+  a (k, n, n) stack, under one errstate), and a decision, ``_tolerance_rule``, the one
+  function that decides Hermiticity (||T - T*||_F > tol * ||T||_F) from those norms at the
+  caller's tol. Every eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s (inf,
+  without a warning, past the float range, as is the rule's tol * ||T||_F): the rule's, the ``pd_decompose`` drop test's (at
+  tol 1e-13), ``_nonvanishing_vector``'s, the two-sum vanishing-factor test's and the
+  ray-limit slack's.
   ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
   the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``. Only
   ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and kernel;
   the rest read lambda_min (NaN where not Hermitian), of a matrix stack from
-  ``_lambda_min_stack``. Operators are classified in ``superop``: its ``_operator_lambda_min``
-  reads the ``eigh`` an LRSum stores and ``_selfadjoint_liouville`` refuses a non-selfadjoint
-  operator, each after the rule at the caller's tol. Different on purpose: the one-sum zero
-  test ||M||_F <= tol (absolute), the sigma_max-relative rank tests of ``_independent_subset``
-  and ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
+  ``_lambda_min_stack``. Operators are classified in ``superop``, from the values an LRSum
+  stores: its Liouville matrix, the rule's norm pass of that matrix and the ``eigh`` of its
+  Hermitian part. ``_operator_lambda_min`` reads the spectrum and ``_selfadjoint_liouville``
+  refuses a non-selfadjoint operator, each after the rule's decision at the caller's tol;
+  ``classify_superop`` passes the stored norms and spectrum to ``_classify``. Different on
+  purpose: the one-sum zero test ||M||_F <= tol (absolute), the sigma_max-relative rank tests
+  of ``_independent_subset`` and ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -217,21 +222,37 @@ def _frob_norms(ts: np.ndarray) -> np.ndarray:
     A norm whose square overflowed is taken again by ``np.hypot``, which squares nothing,
     so no norm below the float range overflows or warns.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for non-finite norms
+        return _frob_norms_unguarded(ts)
+
+
+def _frob_norms_unguarded(ts: np.ndarray) -> np.ndarray:
+    """The body of ``_frob_norms``, for a caller that already ignores overflow and invalid
+    values in its own ``np.errstate`` (the rule's norm pass)."""
     if abs(ts.strides[-1]) > abs(ts.strides[-2]):
         ts = ts.swapaxes(-1, -2)
     x = ts.reshape(len(ts), 1, ts.shape[-2] * ts.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for non-finite norms
-        sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
-        norms = np.sqrt(sq[:, 0, 0])
-        big = np.isinf(norms)
-        if np.count_nonzero(big):
-            norms[big] = np.hypot.reduce(np.abs(x[big, 0]), axis=1)
+    sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+    norms = np.sqrt(sq[:, 0, 0])
+    big = np.isinf(norms)
+    if np.count_nonzero(big):
+        norms[big] = np.hypot.reduce(np.abs(x[big, 0]), axis=1)
     return norms
+
+
+def _scaled(norm, tol: float):
+    """tol * norm for a Frobenius norm or an array of them; inf, without a warning, where it
+    passes the float range. From a norm in range only a tol above 1 gets there (tol * inf is
+    inf exactly), so only such a tol pays for an ``np.errstate``."""
+    if tol <= 1:
+        return tol * norm
+    with np.errstate(over="ignore"):
+        return tol * norm
 
 
 def _threshold(norm, tol: float):
     """The eigenvalue threshold tol * max(1, norm) for a Frobenius norm or an array of them."""
-    return tol * np.maximum(1.0, norm)
+    return _scaled(np.maximum(1.0, norm), tol)
 
 
 def _check_tol(tol) -> None:
@@ -242,23 +263,34 @@ def _check_tol(tol) -> None:
         raise InputError(f"tol must be finite, got {tol}")
 
 
-def _tolerance_rule(ts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The positivity rule on a complex (k, n, n) stack: (non_hermitian, threshold) per matrix.
+def _rule_norms(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norm pass of the positivity rule on a complex (k, n, n) stack: (||T||_F,
+    ||T - T*||_F) per matrix. It holds no tol, so an operator keeps its own (``superop``).
+
+    The skew subtraction and both norms run under one ``np.errstate``; a non-finite entry
+    or norm comes out as a non-finite norm, which ``_tolerance_rule`` reports.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frob_norms_unguarded(ts), _frob_norms_unguarded(ts - ts.conj().swapaxes(-1, -2))
+
+
+def _tolerance_rule(ts: np.ndarray, rule_norms: tuple[np.ndarray, np.ndarray],
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The positivity rule on a complex (k, n, n) stack: (non_hermitian, threshold) per matrix,
+    from ``rule_norms``, the stack's ``_rule_norms``.
 
     T is not Hermitian when ||T - T*||_F exceeds tol * ||T||_F; its eigenvalues are
     thresholded at tol * max(1, ||T||_F). Non-finite entries are reported before a bad tol,
     and a bad tol before a norm beyond the float range.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are reported below
-        skew = ts - ts.conj().swapaxes(-1, -2)
-    norms, defects = _frob_norms(ts), _frob_norms(skew)
+    norms, defects = rule_norms
     finite = np.isfinite(np.maximum(norms, defects)).all()  # a sum of two could overflow
     if not finite and not np.isfinite(ts).all():
         raise InputError("T: entries must be finite")
     _check_tol(tol)
     if not finite:
         raise InputError("T: Frobenius norm exceeds the float range")
-    return defects > tol * norms, _threshold(norms, tol)
+    return defects > _scaled(norms, tol), _threshold(norms, tol)
 
 
 def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +302,7 @@ def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     lambda_min >= -threshold (both false for NaN).
     """
     ts = np.asarray(ts, dtype=_COMPLEX)
-    non_hermitian, threshold = _tolerance_rule(ts, tol)
+    non_hermitian, threshold = _tolerance_rule(ts, _rule_norms(ts), tol)
     w = np.linalg.eigh(hermitian_part(ts))[0]
     return np.where(non_hermitian, math.nan, w[..., 0]), threshold
 
@@ -302,13 +334,14 @@ def classify_hermitian(t, tol: float = DEFAULT_TOL) -> PositivityReport:
     threshold band), above it is PositiveDefinite.
     """
     t = as_square_matrix(t, "T")
-    return _classify(t, tol, lambda: np.linalg.eigh(hermitian_part(t)))
+    return _classify(t, _rule_norms(t[None]), tol, lambda: np.linalg.eigh(hermitian_part(t)))
 
 
-def _classify(t: np.ndarray, tol: float, spectrum) -> PositivityReport:
-    """``classify_hermitian`` of the square matrix ``t``, with ``spectrum()`` the ``eigh`` of
-    its Hermitian part, called only when the rule finds ``t`` Hermitian."""
-    (non_hermitian,), (threshold,) = _tolerance_rule(t[None], tol)
+def _classify(t: np.ndarray, rule_norms, tol: float, spectrum) -> PositivityReport:
+    """``classify_hermitian`` of the square matrix ``t``, with ``rule_norms`` the
+    ``_rule_norms`` of ``t[None]`` and ``spectrum()`` the ``eigh`` of its Hermitian part,
+    called only when the rule finds ``t`` Hermitian."""
+    (non_hermitian,), (threshold,) = _tolerance_rule(t[None], rule_norms, tol)
     if non_hermitian:
         w, v = np.linalg.eigh(1j * skew_part(t))
         lam, kernel_dim, witness = math.nan, 0, v[:, int(np.argmax(np.abs(w)))]

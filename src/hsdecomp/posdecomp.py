@@ -645,7 +645,7 @@ def find_zeta_certificate(
     b-conditions only when it holds. The result is the one a loop of
     ``zeta_check`` over k would return.
 
-    A miss is decided at the end of the ray once k = 1 has failed. Every
+    A miss is decided at the end of the ray before the walk. Every
     candidate's a-matrix is -a_1 + c_k S, with c_k = 1 - 2^-k and the ray sum
     S = sum bounds_n a_n. When S is PSD (the left factors of decompositions
     produced here are) lambda_min cannot fall as k grows, so one stacked
@@ -658,6 +658,14 @@ def find_zeta_certificate(
     times that norm sum, for N non-negative terms. In every other case (a NaN
     margin, a limit that passes or a margin within the slack) the walk runs,
     so a certificate and an undecided miss come out as before.
+
+    Skipping the walk skips no InputError it would raise. The walk raises one
+    when some b_n - zeta_n b_1 or -a_1 + sum zeta_n a_n at a k is not finite or
+    has a norm beyond the float range. The first is linear in zeta, so its
+    entries at any k lie between those at zeta = 0 (b_n) and at the limit: if
+    the limit's are finite, so are every k's. The second's norm is bounded by
+    the slack's norm sum, so a finite slack, which a decided miss needs, bounds
+    it at every k; the limit check leaves every other case undecided.
 
     Raises
     ------
@@ -677,14 +685,12 @@ def find_zeta_certificate(
             return None
         bounds.append(bound)
     bounds = np.array(bounds)
+    if _misses_at_ray_limit(lead, a_n, b_n, bounds, max_halvings, tol):
+        return None
     for k in range(1, max_halvings + 1):
         candidate = ZetaCertificate(tuple((1.0 - 2.0**-k) * bounds))
         if _zeta_conditions(lead, a_n, b_n, np.array(candidate.zetas), tol, a_first=True)[0]:
             return candidate
-        if k == 1 and max_halvings > 1 and _misses_at_ray_limit(
-            lead, a_n, b_n, bounds, max_halvings, tol
-        ):
-            return None
     return None
 
 

@@ -17,10 +17,12 @@ positivity and greatest lower bounds of the induced quadratic form on
 the matrix space are read off its ordinary eigendecomposition.
 
 An LRSum is frozen and each LRTerm owns private read-only copies of its
-factors, so the Liouville matrix and the ``eigh`` of its Hermitian part are
-properties of the operator: each is computed on first use, then kept
-read-only on the LRSum (about 128 KB at d = 8), ignored by equality and
-pickling. They hold no tolerance; every call applies its own ``tol``.
+factors, so three values are properties of the operator: the Liouville
+matrix, the norm pass of the tolerance rule on it (||L||_F and
+||L - L*||_F, from ``core._rule_norms``) and the ``eigh`` of its Hermitian
+part. Each is computed on first use, then kept read-only on the LRSum
+(about 128 KB at d = 8), ignored by equality and pickling. They hold no
+tolerance; each call applies only its own ``tol``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,12 @@ from .core import (
     _hermitian_units,
     _is_integer,
     _matrix_units,
+    _rule_norms,
     _tolerance_rule,
     as_square_matrix,
     _classify,
     frob_norm,
     hermitian_part,
-    skew_part,
 )
 from .exceptions import InputError, NotSelfadjointError
 
@@ -232,20 +234,34 @@ def _hermitian_spectrum(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
     return spectrum
 
 
+def _liouville_rule_norms(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
+    """``core._rule_norms`` of ``to_liouville(s)``, the tol-free norm pass of the positivity
+    rule, taken once and kept on ``s`` read-only; each caller applies its own ``tol``."""
+    rule_norms = s._derived.get("rule_norms")
+    if rule_norms is None:
+        rule_norms = s._derived["rule_norms"] = _rule_norms(to_liouville(s)[None])
+        for x in rule_norms:
+            x.setflags(write=False)
+    return rule_norms
+
+
 def _operator_lambda_min(s: LRSum, tol: float) -> tuple[float, float]:
-    """``_lambda_min_stack`` of ``to_liouville(s)`` alone, read from the stored spectrum."""
-    (non_hermitian,), (threshold,) = _tolerance_rule(to_liouville(s)[None], tol)
+    """``_lambda_min_stack`` of ``to_liouville(s)`` alone, read from the stored norm pass and
+    spectrum."""
+    (non_hermitian,), (threshold,) = _tolerance_rule(to_liouville(s)[None],
+                                                     _liouville_rule_norms(s), tol)
     return (nan if non_hermitian else _hermitian_spectrum(s)[0][0]), threshold
 
 
 def _selfadjoint_liouville(s: LRSum, tol: float) -> np.ndarray:
     """``to_liouville(s)``; NotSelfadjointError unless it passes the Hermiticity test at ``tol``."""
-    m = to_liouville(s)
-    (non_hermitian,), _ = _tolerance_rule(m[None], tol)
+    m, rule_norms = to_liouville(s), _liouville_rule_norms(s)
+    (non_hermitian,), _ = _tolerance_rule(m[None], rule_norms, tol)
     if non_hermitian:
-        defect, norm = 2 * frob_norm(skew_part(m)), frob_norm(m)
+        (norm,), (defect,) = rule_norms
+        # a Python float product past the float range is inf, without a warning
         raise NotSelfadjointError(f"Liouville matrix is not Hermitian: defect {defect:.3e} "
-                                  f"exceeds tol * norm = {tol * norm:.3e}")
+                                  f"exceeds tol * norm = {float(tol) * float(norm):.3e}")
     return m
 
 
@@ -468,4 +484,5 @@ def classify_superop(s: LRSum, tol: float = DEFAULT_TOL) -> PositivityReport:
     quadratic form <eta, s(eta)> over unit-norm eta; the witness is the
     stacked minimizer.
     """
-    return _classify(to_liouville(s), tol, lambda: _hermitian_spectrum(s))
+    return _classify(to_liouville(s), _liouville_rule_norms(s), tol,
+                     lambda: _hermitian_spectrum(s))

@@ -453,6 +453,22 @@ def test_classify_reports_a_norm_beyond_the_float_range(capsys, monkeypatch):
     }
 
 
+def test_classify_at_a_tol_above_1_and_a_norm_near_the_float_range_under_warnings_as_errors():
+    """tol * ||L||_F = 1e10 * 1e300 passes the float range: the threshold is inf, without a
+    warning, so the d = 1 operator (1e300, 1) reports PsdSingular, not a traceback."""
+    obj = {"dim": 1, "terms": [{"a": [[[1e300, 0.0]]], "b": [[[1.0, 0.0]]]}]}
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", "classify", "--tol", "1e10"],
+        input=json.dumps(obj), capture_output=True, text=True,
+    )
+    assert code.returncode == 0, code.stderr
+    assert code.stderr == ""
+    rep = json.loads(code.stdout)
+    assert (rep["class"], rep["lambda_min"], rep["kernel_dim"]) == ("PsdSingular", 1e300, 1)
+    assert rep["result"] == {"witness": [[1.0, 0.0]]}
+    assert rep["tolerances"] == {"tol": 1e10}
+
+
 def test_classify_bad_tol_message(capsys, monkeypatch):
     rep = run_json(["classify", "--in", fixture("identity_d2.json"), "--tol", "-1"],
                    capsys, monkeypatch, expect=1)

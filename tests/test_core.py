@@ -19,6 +19,7 @@ from hsdecomp import (
 from hsdecomp.core import (
     _frob_norms,
     _lambda_min_stack,
+    fix_phase,
     _positive,
     _positivity_class,
     hermitian_part,
@@ -299,6 +300,38 @@ def test_a_norm_whose_square_overflows_keeps_the_rule_scale_covariant():
     # the sum of squares overflows at 1e160; the norm is taken again, without a warning
     assert _frob_norms(np.diag([1e160, -1e155])[None])[0] == pytest.approx(1e160)
     assert frob_norm([1e160, -1e155]) == pytest.approx(1e160)
+
+
+def test_negative_strides_are_read_along_the_contiguous_axis():
+    """A view with a reversed axis reads each matrix along the axis of the smaller stride
+    magnitude, as a C-ordered copy in that orientation does: a signed comparison would
+    read the row-reversed view by columns, a different summation order."""
+    stack = np.stack([random_matrix(np.random.default_rng(120 + i), 8) for i in range(40)])
+    rows_reversed = stack[:, ::-1]
+    columns_reversed = stack.transpose(0, 2, 1)[:, :, ::-1]
+    assert rows_reversed.strides[-2] < 0 < rows_reversed.strides[-1]
+    assert columns_reversed.strides[-1] < 0 < columns_reversed.strides[-2]
+    for view, along in ((rows_reversed, rows_reversed),
+                        (columns_reversed, columns_reversed.swapaxes(-1, -2))):
+        assert _frob_norms(view).tobytes() == _frob_norms(np.ascontiguousarray(along)).tobytes()
+
+
+def test_a_tol_above_1_and_a_norm_near_the_float_range_give_an_infinite_threshold():
+    """tol * ||T||_F = 1e10 * 1.4e300 passes the float range: the threshold is inf, without
+    a warning (pytest turns one into an error), so every eigenvalue lies in the band."""
+    t = 1e300 * np.eye(2)
+    report = classify_hermitian(t, 1e10)
+    assert report.kind is PositivityClass.PSD_SINGULAR and report.kernel_dim == 2
+    lam, threshold = _lambda_min_stack(t[None], 1e10)
+    assert lam[0] == report.lambda_min and threshold[0] == np.inf
+
+
+@pytest.mark.parametrize("v, fixed", [
+    ([2.0**-38 * 1j, 1.0], [2.0**-38, -1j]),  # 3.6e-12 of the largest: the pivot
+    ([2.0**-41 * 1j, 1.0], [2.0**-41 * 1j, 1.0]),  # 4.5e-13: skipped for the next component
+])
+def test_fix_phase_pivot_is_the_first_component_above_1e_12_of_the_largest(v, fixed):
+    assert fix_phase(np.array(v)).tolist() == fixed
 
 
 @pytest.mark.parametrize("diag, kind", [

@@ -21,6 +21,7 @@ from hsdecomp import (
     find_zeta_certificate,
     from_liouville,
     frob_inner,
+    hermitian_unit,
     identity_superop,
     matrix_unit,
     one_sum_positive,
@@ -36,7 +37,8 @@ from hsdecomp import (
 from hsdecomp import core, pencil, posdecomp, superop
 from hsdecomp.pencil import _pencil_minima
 from hsdecomp.posdecomp import (
-    _Tracer, _factor_stacks, _grow_margins, _shrink_offset, _zeta_conditions,
+    _Tracer, _factor_stacks, _grow_margins, _nonvanishing_vector, _shrink_offset,
+    _zeta_conditions,
 )
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
@@ -115,6 +117,14 @@ def test_one_sum_rejects_zero():
 
 
 # ---------------------------------------------------------------- two_sum
+
+
+def test_nonvanishing_vector_reads_the_hermitian_part():
+    """x = [[1, 2], [0, 1]] has Hermitian part [[1, 1], [1, 1]], whose extreme direction
+    (1, 1)/sqrt(2) gives <f, x f> = 2; eigh of x itself reads one triangle, the identity."""
+    f, value = _nonvanishing_vector(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex), 1e-9)
+    assert value == pytest.approx(2.0, abs=1e-15)
+    np.testing.assert_allclose(np.abs(f), [2**-0.5, 2**-0.5], atol=1e-15)
 
 
 def check_two_sum_output(signed, m_ref, tol=1e-9):
@@ -283,6 +293,21 @@ def test_two_sum_trace_replay():
             np.testing.assert_allclose(replayed[1], produced.b, atol=1e-10)
 
 
+def test_two_sum_left_stage_folds_on_the_hermitian_part_of_the_offset_factor():
+    """At tol 1e-3 a right factor may carry a skew part of 1e-4: the left stage's f0 is the
+    top eigenvector of the Hermitian part of b_2 - t b_1, which eigh alone (one triangle)
+    would miss in the fifth digit."""
+    rng = np.random.default_rng(40)
+    b2 = random_pd(rng, 2) + 1e-4 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    terms = [(I2, I2), (0.3 * np.diag([1.0, -0.5]), b2)]
+    _, trace = two_sum_pd(*terms[0], *terms[1], tol=1e-3)
+    assert [s.name for s in trace.steps] == ["classify", "right_pencil", "fold_left",
+                                            "left_pencil"]
+    offset_b = replay_two_sum(terms, trace)["right_pencil"][1][1]
+    top = np.linalg.eigh(core.hermitian_part(offset_b))[1][:, -1]
+    assert trace.step("fold_left").data["f0"].tobytes() == top.tobytes()
+
+
 def scrambled_pairs(rng, d, kind):
     """Two PD pairs, the first scaled by (c, 1/c): real symmetric factors with c = -3, or
     complex ones with a complex c; "mirror" transposes the complex pairs as --mirror does."""
@@ -425,6 +450,18 @@ def test_pd_decompose_scalar_dimension():
     check_pd_output(signed, to_liouville(s), tol=1e-12)
 
 
+@pytest.mark.parametrize("eps, dropped", [(3.5e-13, [(1, 0)]), (3.5e-14, [(0, 1), (1, 0)])])
+def test_pd_decompose_drops_a_remainder_block_below_1e_13_of_the_operator(eps, dropped):
+    """I + eps (h_12 (x) X) leaves the remainder block of pair (0, 1) with norm eps sqrt(2)
+    and that of (1, 0) zero; the drop threshold is 1e-13 max(1, ||L||_F) = 2e-13."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    s = LRSum.from_pairs([(I2, I2), (eps * hermitian_unit(2, 1, 2), x)])
+    signed, trace = pd_decompose(s)
+    assert trace.step("margins").data["dropped"] == dropped
+    assert len(signed.terms) == 4 - len(dropped)
+    check_pd_output(signed, to_liouville(s))
+
+
 def test_pd_decompose_random():
     rng = np.random.default_rng(37)
     for _ in range(30):
@@ -531,6 +568,19 @@ def test_grow_margins_first_checks_are_stacked_then_grown_in_order(monkeypatch):
     values, stack = _grow_margins(base, offsets, False, 1e-9, _Tracer(), labels)
     assert values.tolist() == [0.0, 6.0, 0.0, 0.0]
     assert np.array_equal(stack, values[:, None, None] * base + offsets)
+
+
+@pytest.mark.parametrize("offset, grown", [
+    # required = -2: the first candidate 0 leaves lambda_min 2 below the threshold 1e-9 *
+    # ||offset||_F, about 10, and v -> 2 v + |required| reaches 14 (eigenvalue 16)
+    (np.diag([1e10, 2.0]), 14.0),
+    # required = 3: the first candidate 6 leaves 3, and one growth 2 * 6 + 3 passes
+    (np.diag([-3.0, 1e10]), 15.0),
+], ids=["required-below-zero", "required-above-zero"])
+def test_grow_margins_grows_by_twice_the_value_plus_the_required_magnitude(offset, grown):
+    values, stack = _grow_margins(np.eye(2), offset[None], True, 1e-9, _Tracer(), ["v"])
+    assert values.tolist() == [grown]
+    assert np.array_equal(stack[0], grown * np.eye(2) + offset)
 
 
 def test_grow_margins_on_an_empty_stack():
@@ -729,6 +779,36 @@ def test_zeta_search_matches_reference():
     assert outcomes["near-threshold"] == [False]
 
 
+def seed_7_corpus(dims, cs):
+    """Operators with Liouville matrix X X* / d^2 + c I, X of d^2 x d^2 entries (N + iN)/sqrt(2),
+    drawn from one seed-7 generator, 40 per (d, c) cell, d outer."""
+    rng = np.random.default_rng(7)
+    for d in dims:
+        for c in cs:
+            for _ in range(40):
+                n = d * d
+                x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+                yield from_liouville(x @ x.conj().T / n + c * np.eye(n))
+
+
+@pytest.mark.parametrize("dims, cs, hits", [
+    ((2,), (2, 8, 16, 32), 121),
+    ((2, 3), (0.5, 2, 8), 42),
+], ids=["d2-c2-to-32", "d2-d3-c0.5-to-8"])
+def test_zeta_search_matches_reference_on_the_seed_7_corpora(dims, cs, hits):
+    """Hits at k = 1 to 8 and misses, each decided before or by the walk, as the walk decides."""
+    found = 0
+    for s in seed_7_corpus(dims, cs):
+        signed = pd_decompose(s)[0]
+        cert = find_zeta_certificate(signed)
+        ref = find_zeta_certificate_reference(signed)
+        assert (cert is None) == (ref is None)
+        if cert is not None:
+            assert np.array(cert.zetas).tobytes() == np.array(ref.zetas).tobytes()
+            found += 1
+    assert found == hits
+
+
 def test_ray_window_certificate_is_found_by_the_walk():
     cert = find_zeta_certificate(ray_window_fixture())
     assert cert is not None and cert.zetas == (0.75,)
@@ -827,15 +907,15 @@ def test_zeta_search_work_counts(monkeypatch):
     lambda: psd_sum(np.random.default_rng(50), 8, 64),
 ], ids=["counterexample", "psd-sum-d8"])
 def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
-    """Counts, not wall time: a miss decided at the end of the ray makes 4 eigh calls
-    (lead b_1, the shared pencil, k = 1, the limit with the ray sum) and one cholesky,
-    however many halvings the ray has."""
+    """Counts, not wall time: a miss decided at the end of the ray makes 3 eigh calls
+    (lead b_1, the shared pencil, the limit with the ray sum, before the walk) and one
+    cholesky, however many halvings the ray has."""
     signed, _ = pd_decompose(make())
     counts = count_linalg(monkeypatch, "eigh", "cholesky")
     for max_halvings in (20, 60):
         counts.update(eigh=0, cholesky=0)
         assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
-        assert counts == {"eigh": 4, "cholesky": 1}
+        assert counts == {"eigh": 3, "cholesky": 1}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])

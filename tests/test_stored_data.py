@@ -1,4 +1,5 @@
-"""An LRSum's Liouville matrix and spectrum are computed once and kept on it.
+"""An LRSum's Liouville matrix, the norm pass of its tolerance rule and its spectrum are
+computed once and kept on it.
 
 Whatever another call stored, each public call returns the bits, traces and errors it
 returns on a fresh operator, at its own ``tol``.
@@ -16,19 +17,25 @@ from hsdecomp import (
     HsDecompError,
     InputError,
     LRSum,
+    LRTerm,
     classify_form,
     classify_superop,
     counterexample_superop,
     equivalence_constants,
     from_liouville,
     pd_decompose,
+    selfadjoint_decompose,
     to_liouville,
 )
+from hsdecomp import core, superop
+from hsdecomp.core import _lambda_min_stack
+from hsdecomp.superop import _operator_lambda_min
 from helpers import psd_sum, random_hermitian_liouville, random_lrsum, to_liouville_reference
 
 CALLS = {
     "classify_superop": classify_superop,
     "pd_decompose": pd_decompose,
+    "selfadjoint_decompose": selfadjoint_decompose,
     "classify_form": lambda s, tol: classify_form(Form(s), tol),
     "equivalence_constants": lambda s, tol: equivalence_constants(Form(s), Form(s), tol),
 }
@@ -102,3 +109,66 @@ def test_equality_repr_and_pickle_ignore_stored_data():
     assert to_liouville(loaded) is not to_liouville(filled)
     np.testing.assert_array_equal(to_liouville(loaded), to_liouville(filled))
     assert pickle.dumps(classify_superop(loaded)) == pickle.dumps(classify_superop(s))
+
+
+def liouville_norm_passes(monkeypatch, d: int) -> list:
+    """The rule's norm passes over a d² x d² stack, through either module that calls
+    ``core._rule_norms``; every other matrix the calls below classify is d x d."""
+    passes = []
+    for module in (core, superop):
+        def wrapper(ts, _fn=module._rule_norms):
+            if ts.shape[-1] == d * d:
+                passes.append(ts)
+            return _fn(ts)
+        monkeypatch.setattr(module, "_rule_norms", wrapper)
+    return passes
+
+
+def test_the_liouville_norm_pass_runs_once_per_operator(monkeypatch):
+    """Counts: the pipeline's three calls took the norms three times, two form
+    classifications and an equivalence of the form with itself four times."""
+    s = psd_sum(np.random.default_rng(614), 2, 4)
+    passes = liouville_norm_passes(monkeypatch, 2)
+    classify_superop(s)
+    selfadjoint_decompose(s)
+    pd_decompose(s)
+    assert len(passes) == 1
+    phi = Form(fresh(s))
+    classify_form(phi)
+    classify_form(phi)
+    equivalence_constants(phi, phi)
+    assert len(passes) == 2
+
+
+def test_a_stored_norm_pass_decides_as_a_fresh_one_bitwise():
+    """At each tol, lambda_min and the threshold of a filled operator are those of a fresh
+    one and of the stacked rule on the reference Liouville matrix. The last operator,
+    (1e300 I, I), has the threshold inf at tol 1e10, without a warning."""
+    for s in operators()[:-1] + [LRSum.from_pairs([(1e300 * np.eye(2), np.eye(2))])]:
+        filled = fresh(s)
+        _operator_lambda_min(filled, 1e-9)
+        for tol in (1e-9, 1e-3, 0.5, 1e10):
+            got = np.array(_operator_lambda_min(filled, tol))
+            new = np.array(_operator_lambda_min(fresh(s), tol))
+            ref = np.array(_lambda_min_stack(to_liouville_reference(s)[None], tol))[:, 0]
+            assert got.tobytes() == new.tobytes() == ref.tobytes(), tol
+
+
+def test_stored_arrays_are_read_only():
+    s = psd_sum(np.random.default_rng(615), 3, 4)
+    for call in CALLS:
+        CALLS[call](s, 1e-9)
+    assert set(s._derived) == {"liouville", "rule_norms", "eigh"}
+    for value in s._derived.values():
+        for x in value if isinstance(value, tuple) else (value,):
+            assert isinstance(x, np.ndarray) and not x.flags.writeable
+
+
+def test_an_overflowing_liouville_matrix_is_refused_alike_on_every_call():
+    """-F + F, F = (1e200 I, 1e200 I): the Liouville matrix is inf - inf = NaN, and the stored
+    norm pass is NaN. Each call reports the entries on its first call and every later one."""
+    big = 1e200 * np.eye(2)
+    s = LRSum(2, (LRTerm(big, big, -1), LRTerm(big, big)))
+    expected = ("InputError", "T: entries must be finite")
+    for call in CALLS:
+        assert [outcome(call, s, 1e-9) for _ in range(2)] == [expected, expected], call
