@@ -9,16 +9,16 @@ Conventions
 -----------
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
-- One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it, and the
-  rule's norm pass its body): it does not overflow below the float range. A library ``tol``
-  must be positive and finite (``_check_tol``).
+- One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it): it does
+  not overflow below the float range. A library ``tol`` must be positive and finite
+  (``_check_tol``).
 - The positivity rule has a tol-free norm pass, ``_rule_norms`` (||T||_F and ||T - T*||_F of
-  a (k, n, n) stack, under one errstate), and a decision, ``_tolerance_rule``, the one
-  function that decides Hermiticity (||T - T*||_F > tol * ||T||_F) from those norms at the
-  caller's tol. Every eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s (inf,
-  without a warning, past the float range, as is the rule's tol * ||T||_F): the rule's, the ``pd_decompose`` drop test's (at
-  tol 1e-13), ``_nonvanishing_vector``'s, the two-sum vanishing-factor test's and the
-  ray-limit slack's.
+  a (k, n, n) stack), and a decision, ``_tolerance_rule``, the one function that decides
+  Hermiticity (||T - T*||_F > tol * ||T||_F) from those norms at the caller's tol. Every
+  eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s (inf, without a warning,
+  past the float range, as is the rule's tol * ||T||_F): the rule's, the ``pd_decompose``
+  drop test's (at tol 1e-13), ``_nonvanishing_vector``'s, the two-sum vanishing-factor
+  test's and the ray-limit slack's.
   ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
   the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``. Only
   ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and kernel;
@@ -222,28 +222,23 @@ def _frob_norms(ts: np.ndarray) -> np.ndarray:
     A norm whose square overflowed is taken again by ``np.hypot``, which squares nothing,
     so no norm below the float range overflows or warns.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for non-finite norms
-        return _frob_norms_unguarded(ts)
-
-
-def _frob_norms_unguarded(ts: np.ndarray) -> np.ndarray:
-    """The body of ``_frob_norms``, for a caller that already ignores overflow and invalid
-    values in its own ``np.errstate`` (the rule's norm pass)."""
     if abs(ts.strides[-1]) > abs(ts.strides[-2]):
         ts = ts.swapaxes(-1, -2)
     x = ts.reshape(len(ts), 1, ts.shape[-2] * ts.shape[-1])
-    sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
-    norms = np.sqrt(sq[:, 0, 0])
-    big = np.isinf(norms)
-    if np.count_nonzero(big):
-        norms[big] = np.hypot.reduce(np.abs(x[big, 0]), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller tests for non-finite norms
+        sq = x.real @ x.real.swapaxes(-1, -2) + x.imag @ x.imag.swapaxes(-1, -2)
+        norms = np.sqrt(sq[:, 0, 0])
+        big = np.isinf(norms)
+        if np.count_nonzero(big):
+            norms[big] = np.hypot.reduce(np.abs(x[big, 0]), axis=1)
     return norms
 
 
 def _scaled(norm, tol: float):
     """tol * norm for a Frobenius norm or an array of them; inf, without a warning, where it
     passes the float range. From a norm in range only a tol above 1 gets there (tol * inf is
-    inf exactly), so only such a tol pays for an ``np.errstate``."""
+    inf exactly), so only such a tol pays for an ``np.errstate``: on the forms-equiv items,
+    entering one on every call cost about 2% of their time."""
     if tol <= 1:
         return tol * norm
     with np.errstate(over="ignore"):
@@ -267,11 +262,12 @@ def _rule_norms(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The norm pass of the positivity rule on a complex (k, n, n) stack: (||T||_F,
     ||T - T*||_F) per matrix. It holds no tol, so an operator keeps its own (``superop``).
 
-    The skew subtraction and both norms run under one ``np.errstate``; a non-finite entry
-    or norm comes out as a non-finite norm, which ``_tolerance_rule`` reports.
+    A non-finite entry or norm comes out as a non-finite norm, which ``_tolerance_rule``
+    reports.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _frob_norms_unguarded(ts), _frob_norms_unguarded(ts - ts.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries are reported there
+        skew = ts - ts.conj().swapaxes(-1, -2)
+    return _frob_norms(ts), _frob_norms(skew)
 
 
 def _tolerance_rule(ts: np.ndarray, rule_norms: tuple[np.ndarray, np.ndarray],

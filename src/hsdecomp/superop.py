@@ -209,40 +209,41 @@ def to_liouville(s: LRSum) -> np.ndarray:
     The matrix is built on the first call and kept on ``s``; every call returns it
     read-only, so a caller that writes to it works on a copy.
     """
-    m = s._derived.get("liouville")
-    if m is None:
-        d = s.dim
-        out, buf = np.zeros((d, d, d, d), dtype=_COMPLEX), np.empty((d, d, d, d), dtype=_COMPLEX)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in s.terms:
-                a = t.sign * t.a if s.has_negative else t.a
-                np.multiply(t.b.T[:, None, :, None], a[None, :, None, :], out=buf)
-                out += buf
-        m = s._derived["liouville"] = out.reshape(d * d, d * d)
-        m.setflags(write=False)
-    return m
+    return _stored(s, "liouville", lambda: _liouville(s))
+
+
+def _liouville(s: LRSum) -> np.ndarray:
+    d = s.dim
+    out, buf = np.zeros((d, d, d, d), dtype=_COMPLEX), np.empty((d, d, d, d), dtype=_COMPLEX)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in s.terms:
+            a = t.sign * t.a if s.has_negative else t.a
+            np.multiply(t.b.T[:, None, :, None], a[None, :, None, :], out=buf)
+            out += buf
+    return out.reshape(d * d, d * d)
+
+
+def _stored(s: LRSum, key: str, compute):
+    """``compute()`` on the first call for ``key``, then the value kept on ``s``: an array or
+    a tuple of arrays, each made read-only."""
+    value = s._derived.get(key)
+    if value is None:
+        value = s._derived[key] = compute()
+        for x in (value,) if isinstance(value, np.ndarray) else value:
+            x.setflags(write=False)
+    return value
 
 
 def _hermitian_spectrum(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of the Hermitian part of ``to_liouville(s)``, computed once and kept on ``s``
     read-only; the classifiers call it only once their tolerance rule has passed."""
-    spectrum = s._derived.get("eigh")
-    if spectrum is None:
-        spectrum = s._derived["eigh"] = np.linalg.eigh(hermitian_part(to_liouville(s)))
-        for x in spectrum:
-            x.setflags(write=False)
-    return spectrum
+    return _stored(s, "eigh", lambda: np.linalg.eigh(hermitian_part(to_liouville(s))))
 
 
 def _liouville_rule_norms(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
     """``core._rule_norms`` of ``to_liouville(s)``, the tol-free norm pass of the positivity
     rule, taken once and kept on ``s`` read-only; each caller applies its own ``tol``."""
-    rule_norms = s._derived.get("rule_norms")
-    if rule_norms is None:
-        rule_norms = s._derived["rule_norms"] = _rule_norms(to_liouville(s)[None])
-        for x in rule_norms:
-            x.setflags(write=False)
-    return rule_norms
+    return _stored(s, "rule_norms", lambda: _rule_norms(to_liouville(s)[None]))
 
 
 def _operator_lambda_min(s: LRSum, tol: float) -> tuple[float, float]:

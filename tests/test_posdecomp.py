@@ -817,14 +817,14 @@ def test_ray_window_certificate_is_found_by_the_walk():
 
 
 def test_near_threshold_miss_is_left_to_the_walk(monkeypatch):
-    """The limit fails its own test, but within the slack: the search walks all 20 halvings,
-    one eigh each after the lead check, the pencil, k = 1 and the limit check."""
+    """The limit fails its own test, but within the slack: after the lead check, the pencil
+    and the limit check, the search walks all 20 halvings, one eigh each."""
     signed = near_threshold_fixture()
     limit = zeta_check(signed, ZetaCertificate((1 - 2.0**-20,)))
     assert -1e-8 < limit.a_margin < -1e-9 and not limit.ok
     counts = count_linalg(monkeypatch, "eigh")
     assert find_zeta_certificate(signed) is None
-    assert counts["eigh"] == 3 + 1 + 19
+    assert counts["eigh"] == 3 + 20
 
 
 def test_a_passes_b_fails_fixture_exercises_both_branches():
