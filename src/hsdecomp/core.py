@@ -10,13 +10,13 @@ Conventions
 - Basis indices are 1-based: ``matrix_unit(d, n, m)`` has its single 1 in
   row n, column m, for 1 <= n, m <= d.
 - One Frobenius norm, ``_frob_norms`` on a (k, m, n) stack (``frob_norm`` calls it): it does
-  not overflow below the float range. A library ``tol`` must be positive and finite
-  (``_check_tol``).
+  not overflow below the float range. A library ``tol`` lies in (0, 1) (``_check_tol``): at 1
+  or more every Hermitian matrix would classify PsdSingular with a full kernel.
 - The positivity rule has a tol-free norm pass, ``_rule_norms`` (||T||_F and ||T - T*||_F of
   a (k, n, n) stack), and a decision, ``_tolerance_rule``, the one function that decides
   Hermiticity (||T - T*||_F > tol * ||T||_F) from those norms at the caller's tol. Every
-  eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s (inf, without a warning,
-  past the float range, as is the rule's tol * ||T||_F): the rule's, the ``pd_decompose``
+  eigenvalue threshold, tol * max(1, ||T||_F), is ``_threshold``'s (finite for a finite norm,
+  as is the rule's tol * ||T||_F, since tol < 1): the rule's, the ``pd_decompose``
   drop test's (at tol 1e-13), ``_nonvanishing_vector``'s, the two-sum vanishing-factor
   test's and the ray-limit slack's.
   ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
@@ -234,28 +234,17 @@ def _frob_norms(ts: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _scaled(norm, tol: float):
-    """tol * norm for a Frobenius norm or an array of them; inf, without a warning, where it
-    passes the float range. From a norm in range only a tol above 1 gets there (tol * inf is
-    inf exactly), so only such a tol pays for an ``np.errstate``: on the forms-equiv items,
-    entering one on every call cost about 2% of their time."""
-    if tol <= 1:
-        return tol * norm
-    with np.errstate(over="ignore"):
-        return tol * norm
-
-
 def _threshold(norm, tol: float):
     """The eigenvalue threshold tol * max(1, norm) for a Frobenius norm or an array of them."""
-    return _scaled(np.maximum(1.0, norm), tol)
+    return tol * np.maximum(1.0, norm)
 
 
 def _check_tol(tol) -> None:
-    """InputError unless ``tol`` is positive and finite."""
+    """InputError unless 0 < ``tol`` < 1: from 1 on, every threshold is at least ||T||_F."""
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    if tol == math.inf:
-        raise InputError(f"tol must be finite, got {tol}")
+    if not tol < 1:
+        raise InputError(f"tol must be below 1, got {tol}")
 
 
 def _rule_norms(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +275,7 @@ def _tolerance_rule(ts: np.ndarray, rule_norms: tuple[np.ndarray, np.ndarray],
     _check_tol(tol)
     if not finite:
         raise InputError("T: Frobenius norm exceeds the float range")
-    return defects > _scaled(norms, tol), _threshold(norms, tol)
+    return defects > tol * norms, _threshold(norms, tol)
 
 
 def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:

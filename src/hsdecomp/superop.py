@@ -28,7 +28,7 @@ tolerance; each call applies only its own ``tol``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt, nan
+from math import isfinite, isqrt, nan
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .core import (
     frob_norm,
     hermitian_part,
 )
-from .exceptions import InputError, NotSelfadjointError
+from .exceptions import InputError, NotSelfadjointError, NumericalError
 
 __all__ = [
     "LRTerm",
@@ -240,29 +240,33 @@ def _hermitian_spectrum(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
     return _stored(s, "eigh", lambda: np.linalg.eigh(hermitian_part(to_liouville(s))))
 
 
-def _liouville_rule_norms(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
+def _liouville_rule_norms(s: LRSum, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """``core._rule_norms`` of ``to_liouville(s)``, the tol-free norm pass of the positivity
-    rule, taken once and kept on ``s`` read-only; each caller applies its own ``tol``."""
-    return _stored(s, "rule_norms", lambda: _rule_norms(to_liouville(s)[None]))
+    rule, taken once and kept on ``s`` read-only; each caller applies its own ``tol``, checked
+    here. The factors are finite, so a non-finite norm is an overflow: a NumericalError."""
+    _check_tol(tol)
+    rule_norms = _stored(s, "rule_norms", lambda: _rule_norms(to_liouville(s)[None]))
+    if not (isfinite(rule_norms[0][0]) and isfinite(rule_norms[1][0])):
+        raise NumericalError("Liouville matrix exceeds the float range")
+    return rule_norms
 
 
 def _operator_lambda_min(s: LRSum, tol: float) -> tuple[float, float]:
     """``_lambda_min_stack`` of ``to_liouville(s)`` alone, read from the stored norm pass and
     spectrum."""
     (non_hermitian,), (threshold,) = _tolerance_rule(to_liouville(s)[None],
-                                                     _liouville_rule_norms(s), tol)
+                                                     _liouville_rule_norms(s, tol), tol)
     return (nan if non_hermitian else _hermitian_spectrum(s)[0][0]), threshold
 
 
 def _selfadjoint_liouville(s: LRSum, tol: float) -> np.ndarray:
     """``to_liouville(s)``; NotSelfadjointError unless it passes the Hermiticity test at ``tol``."""
-    m, rule_norms = to_liouville(s), _liouville_rule_norms(s)
+    m, rule_norms = to_liouville(s), _liouville_rule_norms(s, tol)
     (non_hermitian,), _ = _tolerance_rule(m[None], rule_norms, tol)
     if non_hermitian:
         (norm,), (defect,) = rule_norms
-        # a Python float product past the float range is inf, without a warning
         raise NotSelfadjointError(f"Liouville matrix is not Hermitian: defect {defect:.3e} "
-                                  f"exceeds tol * norm = {float(tol) * float(norm):.3e}")
+                                  f"exceeds tol * norm = {tol * norm:.3e}")
     return m
 
 
@@ -465,7 +469,9 @@ def selfadjoint_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> LRSum:
     Raises
     ------
     InputError
-        If ``tol`` is not positive or the Liouville matrix is not finite.
+        If ``tol`` is not in (0, 1).
+    NumericalError
+        If the Liouville matrix exceeds the float range.
     NotSelfadjointError
         If the Liouville matrix fails the Hermiticity test at ``tol``.
     """
@@ -485,5 +491,5 @@ def classify_superop(s: LRSum, tol: float = DEFAULT_TOL) -> PositivityReport:
     quadratic form <eta, s(eta)> over unit-norm eta; the witness is the
     stacked minimizer.
     """
-    return _classify(to_liouville(s), _liouville_rule_norms(s), tol,
+    return _classify(to_liouville(s), _liouville_rule_norms(s, tol), tol,
                      lambda: _hermitian_spectrum(s))

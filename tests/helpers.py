@@ -11,7 +11,8 @@ test, ``to_liouville_reference`` is the ``np.kron`` loop,
 ``classify_form_reference`` is the form classifier built on
 ``classify_hermitian``, and ``classify_step_reference`` is the "classify"
 step of the decompositions built on it, that the library routines must
-reproduce bit for bit.
+reproduce bit for bit. ``replay_pd_decompose`` rebuilds a ``pd_decompose``
+output from its input and the JSON form of its trace alone.
 """
 
 import math
@@ -23,6 +24,7 @@ from hsdecomp import (
     FormKind,
     InputError,
     LRSum,
+    LRTerm,
     NotPositiveDefiniteError,
     NotPositiveError,
     PositivityClass,
@@ -37,6 +39,8 @@ from hsdecomp import (
     to_liouville,
     vec,
 )
+from hsdecomp.core import _hermitian_units
+from hsdecomp.superop import selfadjoint_blocks
 
 COMPLEX = np.complex128
 
@@ -381,3 +385,44 @@ def classify_step_reference(m, strict=True, tol=1e-9):
         raise NotPositiveError(
             f"superoperator classifies {report.kind.value}, not positive semidefinite")
     return report.kind.value, report.lambda_min
+
+
+def replay_pd_decompose(s: LRSum, trace_obj: dict) -> LRSum:
+    """``pd_decompose(s)``'s output at d >= 2, rebuilt from ``s`` and ``trace_obj``, the JSON
+    form of its trace (``json.loads`` of ``canonical_dumps(trace_to_obj(trace))``).
+
+    The blocks come from the operator; every chosen scalar comes from the trace: the
+    "diag_pencil" t, gamma_11 and gammas, the "margins" betas, alpha and dropped blocks, and
+    the "lifts" lambdas. Each factor is the arithmetic ``pd_decompose`` accepted, redone in
+    its order, so the replay is equal bit for bit, not close.
+    """
+    steps = {step["name"]: step["data"] for step in trace_obj["steps"]}
+    pencil, margins, lifts = steps["diag_pencil"], steps["margins"], steps["lifts"]
+    d = s.dim
+    blocks, hat = selfadjoint_blocks(to_liouville(s)), _hermitian_units(d)
+    diag1, diag2 = blocks[0], blocks[d + 1]
+    others = [k for k in range(d * d) if k not in (0, d + 1)]
+    key = lambda k: f"{k // d},{k % d}"
+    t, gamma11 = pencil["t"], pencil["gamma11"]
+    gamma = [complex(*pencil["gamma"][key(k)]) for k in others]
+    tail = np.add.reduce(np.array(gamma).real[:, None, None] * hat[others])
+    left_comb = gamma11 * (matrix_unit(d, 1, 1) + t * matrix_unit(d, 2, 2)) + tail
+    right2 = diag2 - t * diag1
+    ratios = np.array([g / gamma11 for g in gamma])
+    rest = blocks[others] - ratios[:, None, None] * diag1
+    dropped = [f"{n},{m}" for n, m in margins["dropped"]]
+    keep = np.array([key(k) not in dropped for k in others], dtype=bool)
+    kept = np.array(others)[keep]
+    beta = np.array([margins["beta"][key(k)] for k in kept], dtype=float)
+    right3 = beta[:, None, None] * right2 + rest[keep]
+    left2 = np.add.reduce(np.concatenate([matrix_unit(d, 2, 2)[None],
+                                          -(beta[:, None, None] * hat[kept])]))
+    alpha = margins["alpha"]
+    neg_left = alpha * left_comb + -left2
+    off = kept // d != kept % d
+    lam = np.array([lifts["lam"][key(k)] for k in kept[off]], dtype=float)
+    lefts = hat[kept]
+    lefts[off] = lam[:, None, None] * neg_left + hat[kept[off]]
+    neg_right = np.add.reduce(np.concatenate([right2[None], lam[:, None, None] * right3[off]]))
+    out = [LRTerm(neg_left, neg_right, -1), LRTerm(left_comb, diag1 / gamma11 + alpha * right2)]
+    return LRSum(d, tuple(out + [LRTerm(a, b) for a, b in zip(lefts, right3)]))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsdecomp import LRSum, to_liouville
+from hsdecomp import LRSum, counterexample_superop, to_liouville
 from hsdecomp.cli import _COMMANDS, main
 from hsdecomp.serialize import obj_to_operator, operator_to_obj
 from helpers import psd_sum, rel_err
@@ -410,7 +410,9 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize("tol, message", [
     ("nan", "tol must be positive, got nan"),
-    ("inf", "tol must be finite, got inf"),
+    ("inf", "tol must be below 1, got inf"),
+    ("1", "tol must be below 1, got 1.0"),
+    ("1e10", "tol must be below 1, got 10000000000.0"),
     ("0", "tol must be positive, got 0.0"),
     ("-1", "tol must be positive, got -1.0"),
 ])
@@ -443,30 +445,40 @@ def test_dash_led_tol_is_reported_in_either_spelling(spelling):
 
 
 def test_classify_reports_a_norm_beyond_the_float_range(capsys, monkeypatch):
-    """The Liouville matrix 1e308 I has finite entries and Frobenius norm 2e308."""
+    """The Liouville matrix 1e308 I has finite entries and Frobenius norm 2e308: a result
+    beyond the float range, so a numerical failure."""
     big = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
     eye = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     op = json.dumps({"dim": 2, "terms": [{"a": big, "b": eye}]})
-    rep = run_json(["classify"], capsys, monkeypatch, stdin_text=op, expect=1)
+    rep = run_json(["classify"], capsys, monkeypatch, stdin_text=op, expect=2)
     assert rep["error"] == {
-        "type": "InputError", "message": "T: Frobenius norm exceeds the float range",
+        "type": "NumericalError", "message": "Liouville matrix exceeds the float range",
     }
 
 
-def test_classify_at_a_tol_above_1_and_a_norm_near_the_float_range_under_warnings_as_errors():
-    """tol * ||L||_F = 1e10 * 1e300 passes the float range: the threshold is inf, without a
-    warning, so the d = 1 operator (1e300, 1) reports PsdSingular, not a traceback."""
-    obj = {"dim": 1, "terms": [{"a": [[[1e300, 0.0]]], "b": [[[1.0, 0.0]]]}]}
+def test_a_tol_of_1_is_refused_under_warnings_as_errors():
+    """At tol 1 every threshold is at least ||L||_F, so reduce dropped every term and exited 0
+    with term_count 0; it is refused before the input is read."""
     code = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "hsdecomp", "classify", "--tol", "1e10"],
-        input=json.dumps(obj), capture_output=True, text=True,
+        [sys.executable, "-W", "error", "-m", "hsdecomp", "reduce", "--tol", "1"],
+        input=json.dumps(operator_to_obj(counterexample_superop(0.25))),
+        capture_output=True, text=True,
     )
-    assert code.returncode == 0, code.stderr
-    assert code.stderr == ""
-    rep = json.loads(code.stdout)
-    assert (rep["class"], rep["lambda_min"], rep["kernel_dim"]) == ("PsdSingular", 1e300, 1)
-    assert rep["result"] == {"witness": [[1.0, 0.0]]}
-    assert rep["tolerances"] == {"tol": 1e10}
+    message = "tol must be below 1, got 1.0"
+    assert code.returncode == 1
+    assert json.loads(code.stdout)["error"] == {"type": "InputError", "message": message}
+    assert code.stderr == f"hsdecomp reduce: error: {message}\n"
+
+
+@pytest.mark.parametrize("tol", ["1", "1e10", "inf"])
+def test_every_subcommand_refuses_a_tol_not_below_1(tol, capsys):
+    for command in _COMMANDS:
+        extra = ["--t", "0.25"] if command == "counterexample" else []
+        code, out, err = run_cli([command, "--tol", tol, *extra], capsys=capsys)
+        message = f"tol must be below 1, got {float(tol)}"
+        assert code == 1, command
+        assert json.loads(out)["error"] == {"type": "InputError", "message": message}, command
+        assert err == f"hsdecomp {command}: error: {message}\n"
 
 
 def test_classify_bad_tol_message(capsys, monkeypatch):
@@ -597,15 +609,17 @@ def test_unwritable_out_is_input_error_on_stdout(t, report, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["classify", "pd-decompose", "decompose-selfadjoint"])
 def test_overflowing_liouville_matrix_is_input_error_under_warnings_as_errors(command):
     # the Liouville matrix of (1e200 I, 1e200 I) is 1e400 I: every command that tests its
-    # Hermiticity refuses it through the tolerance rule, without a warning
+    # Hermiticity reports a result beyond the float range, a NumericalError (exit 2), without
+    # a warning; the input's entries are all finite
     obj = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}
     code = subprocess.run(
         [sys.executable, "-W", "error", "-m", "hsdecomp", command], input=json.dumps(obj),
         capture_output=True, text=True,
     )
-    assert code.returncode == 1, code.stderr
+    assert code.returncode == 2, code.stderr
     error = json.loads(code.stdout)["error"]
-    assert error == {"type": "InputError", "message": "T: entries must be finite"}
+    assert error == {"type": "NumericalError",
+                     "message": "Liouville matrix exceeds the float range"}
     assert "Traceback" not in code.stderr
     assert code.stderr == f"hsdecomp {command}: error: {error['message']}\n"
 

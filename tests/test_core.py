@@ -4,6 +4,7 @@ import pytest
 from hsdecomp import (
     InputError,
     PositivityClass,
+    build_inner_product,
     classify_hermitian,
     classify_superop,
     frob_inner,
@@ -268,18 +269,20 @@ def test_lambda_min_stack_rejects_bad_tol():
 
 
 @pytest.mark.parametrize("tol, message", [
-    (np.inf, "tol must be finite, got inf"),
+    (1.0, "tol must be below 1, got 1.0"),
+    (1e10, "tol must be below 1, got 10000000000.0"),
+    (np.inf, "tol must be below 1, got inf"),
     (np.nan, "tol must be positive, got nan"),
     (0.0, "tol must be positive, got 0.0"),
     (-1.0, "tol must be positive, got -1.0"),
 ])
 def test_library_calls_refuse_a_tol_the_cli_refuses(tol, message):
-    """At tol = inf every threshold is infinite: classify_hermitian(I) came out PsdSingular
-    with kernel_dim 2, and reduce_terms(identity_superop(2)) the zero operator."""
+    """At tol >= 1 every threshold is at least ||T||_F: classify_hermitian(I) came out
+    PsdSingular with kernel_dim 2, and reduce_terms(identity_superop(2)) the zero operator."""
     eye, s = np.eye(2), identity_superop(2)
     for call in (lambda: classify_hermitian(eye, tol), lambda: _lambda_min_stack(eye[None], tol),
                  lambda: classify_superop(s, tol), lambda: reduce_terms(s, tol),
-                 lambda: pd_decompose(s, tol)):
+                 lambda: pd_decompose(s, tol), lambda: build_inner_product([eye], [eye], tol)):
         with pytest.raises(InputError) as info:
             call()
         assert str(info.value) == message
@@ -314,16 +317,6 @@ def test_negative_strides_are_read_along_the_contiguous_axis():
     for view, along in ((rows_reversed, rows_reversed),
                         (columns_reversed, columns_reversed.swapaxes(-1, -2))):
         assert _frob_norms(view).tobytes() == _frob_norms(np.ascontiguousarray(along)).tobytes()
-
-
-def test_a_tol_above_1_and_a_norm_near_the_float_range_give_an_infinite_threshold():
-    """tol * ||T||_F = 1e10 * 1.4e300 passes the float range: the threshold is inf, without
-    a warning (pytest turns one into an error), so every eigenvalue lies in the band."""
-    t = 1e300 * np.eye(2)
-    report = classify_hermitian(t, 1e10)
-    assert report.kind is PositivityClass.PSD_SINGULAR and report.kernel_dim == 2
-    lam, threshold = _lambda_min_stack(t[None], 1e10)
-    assert lam[0] == report.lambda_min and threshold[0] == np.inf
 
 
 @pytest.mark.parametrize("v, fixed", [

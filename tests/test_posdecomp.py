@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,7 @@ from hsdecomp.posdecomp import (
     _Tracer, _factor_stacks, _grow_margins, _nonvanishing_vector, _shrink_offset,
     _zeta_conditions,
 )
+from hsdecomp.serialize import canonical_dumps, trace_to_obj
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
     classify_step_reference,
@@ -58,6 +61,7 @@ from helpers import (
     random_psd,
     random_unitary,
     rel_err,
+    replay_pd_decompose,
     stacked_kernel_trivial,
     zeta_check_reference,
 )
@@ -291,6 +295,26 @@ def test_two_sum_trace_replay():
         for replayed, produced in zip(cur, signed.terms):
             np.testing.assert_allclose(replayed[0], produced.a, atol=1e-10)
             np.testing.assert_allclose(replayed[1], produced.b, atol=1e-10)
+
+
+@pytest.mark.parametrize("s", [
+    *(pytest.param(psd_sum(np.random.default_rng(seed), 8, 64), id=f"psd-d8-{seed}")
+      for seed in range(4)),
+    *(pytest.param(counterexample_superop(t), id=f"counterexample-{t}")
+      for t in (0.25, 1e-4, 1e-6)),
+    # every off-diagonal block dropped, nothing lifted
+    pytest.param(identity_superop(3), id="identity-d3"),
+])
+def test_pd_decompose_replays_from_its_json_trace(s):
+    """The input operator and the trace after a JSON round trip determine the output exactly:
+    the replay reads every chosen scalar from the wire form, and one ulp off the traced t
+    gives another output."""
+    signed, trace = pd_decompose(s)
+    trace_obj = json.loads(canonical_dumps(trace_to_obj(trace)))
+    assert replay_pd_decompose(s, trace_obj) == signed
+    pencil = next(step["data"] for step in trace_obj["steps"] if step["name"] == "diag_pencil")
+    pencil["t"] = float(np.nextafter(pencil["t"], 1.0))
+    assert replay_pd_decompose(s, trace_obj) != signed
 
 
 def test_two_sum_left_stage_folds_on_the_hermitian_part_of_the_offset_factor():
