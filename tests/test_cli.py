@@ -411,8 +411,6 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("tol, message", [
     ("nan", "tol must be positive, got nan"),
     ("inf", "tol must be below 1, got inf"),
-    ("1", "tol must be below 1, got 1.0"),
-    ("1e10", "tol must be below 1, got 10000000000.0"),
     ("0", "tol must be positive, got 0.0"),
     ("-1", "tol must be positive, got -1.0"),
 ])
