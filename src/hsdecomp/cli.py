@@ -187,6 +187,7 @@ def _cmd_liouville(args):
 
 def _cmd_decompose_basis(args):
     op, digest = _load_operator(args)
+    superop._liouville_rule_norms(op, args.tol)  # a Liouville matrix beyond the float range
     out = superop.from_liouville(superop.to_liouville(op), args.variant)
     return _report(args, digest, terms_out=out, result={"term_count": len(out)},
                    variant=args.variant)
@@ -367,8 +368,18 @@ def _render_text(report: dict) -> str:
 
 
 def _write(args, text: str) -> None:
+    """Write ``text`` to ``--out`` or stdout; InputError when it cannot be written. A stdout
+    whose reader has exited is pointed at os.devnull, so the interpreter's final flush cannot
+    raise again."""
     if not args.outfile:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(args.outfile, "w", encoding="utf-8") as fh:

@@ -23,7 +23,10 @@ Conventions
   the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``. Only
   ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and kernel;
   the rest read lambda_min (NaN where not Hermitian), of a matrix stack from
-  ``_lambda_min_stack``. Operators are classified in ``superop``, from the values an LRSum
+  ``_lambda_min_stack``; a stacked PD or PSD verdict (``_positive``) is instead a completed
+  Cholesky factorization of H - threshold I or H + threshold I after the same rule, which
+  can differ from the class only within (n + 2) u (tr|H| + n threshold) of the threshold.
+  Operators are classified in ``superop``, from the values an LRSum
   stores: its Liouville matrix, the rule's norm pass of that matrix and the ``eigh`` of its
   Hermitian part. ``_operator_lambda_min`` reads the spectrum and ``_selfadjoint_liouville``
   refuses a non-selfadjoint operator, each after the rule's decision at the caller's tol;
@@ -292,10 +295,37 @@ def _lambda_min_stack(ts, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(non_hermitian, math.nan, w[..., 0]), threshold
 
 
+def _factors(ms: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` completes on a matrix or on every matrix of a stack."""
+    try:
+        np.linalg.cholesky(ms)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
-    """Whether each matrix of a stack is positive definite (``strict``) or semidefinite."""
-    lam, threshold = _lambda_min_stack(stack, tol)
-    return lam > threshold if strict else lam >= -threshold
+    """Whether each matrix of a (k, n, n) stack is positive definite (``strict``) or semidefinite.
+
+    The verdicts of ``_lambda_min_stack`` (lambda_min > threshold, lambda_min >= -threshold),
+    decided without an eigensolve: a matrix passes iff ``_tolerance_rule`` finds it Hermitian
+    and a Cholesky factorization of H - threshold I (``strict``) or H + threshold I completes,
+    H its Hermitian part (Rump, BIT 46, 2006; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10). Where lambda_min lies within (n + 2) u (tr|H| + n threshold) of the
+    threshold, u = 2^-53, the two may differ: Rump's bound for a completed factorization,
+    widened by the rounding of the shift. The factored matrix is halved,
+    (H -+ threshold I) / 2, so that no entry overflows (|h_ii| + threshold < 2 ||T||_F); the
+    halving is exact in the normal range. One ``cholesky`` takes the whole stack; only when it
+    fails is each matrix factored alone, so a verdict never depends on its neighbours.
+    """
+    ts = np.asarray(stack, dtype=_COMPLEX)
+    non_hermitian, threshold = _tolerance_rule(ts, _rule_norms(ts), tol)
+    h = hermitian_part(ts / 2)
+    diag = np.arange(h.shape[-1])
+    h[:, diag, diag] -= (threshold / 2 if strict else -threshold / 2)[:, None]
+    if _factors(h):
+        return ~non_hermitian
+    return ~non_hermitian & np.array([_factors(m) for m in h], dtype=bool)
 
 
 def _positivity_class(lam: float, threshold: float) -> PositivityClass:

@@ -12,7 +12,9 @@ test, ``to_liouville_reference`` is the ``np.kron`` loop,
 ``classify_hermitian``, and ``classify_step_reference`` is the "classify"
 step of the decompositions built on it, that the library routines must
 reproduce bit for bit. ``replay_pd_decompose`` rebuilds a ``pd_decompose``
-output from its input and the JSON form of its trace alone.
+output from its input and the JSON form of its trace alone. ``positive_oracle``
+decides the stacked PD and PSD verdicts by ``np.linalg.eigvalsh``, and states the
+band around the threshold outside which the library's Cholesky verdicts must agree.
 """
 
 import math
@@ -426,3 +428,38 @@ def replay_pd_decompose(s: LRSum, trace_obj: dict) -> LRSum:
     neg_right = np.add.reduce(np.concatenate([right2[None], lam[:, None, None] * right3[off]]))
     out = [LRTerm(neg_left, neg_right, -1), LRTerm(left_comb, diag1 / gamma11 + alpha * right2)]
     return LRSum(d, tuple(out + [LRTerm(a, b) for a, b in zip(lefts, right3)]))
+
+
+def _norm(x) -> float:
+    """The Frobenius norm by ``np.linalg.norm`` of ``x`` over its largest magnitude, so that no
+    square overflows."""
+    big = float(np.abs(x).max(initial=0.0))
+    return big * float(np.linalg.norm(x / big)) if big else 0.0
+
+
+def positive_oracle(stack, tol=1e-9, strict=True):
+    """(verdict, margin, delta) of each matrix T of a stack, for the PD (``strict``) or PSD
+    test of ``core._positive``, from ``np.linalg.eigvalsh`` of H = T/2 + T*/2.
+
+    verdict: ||T - T*||_F <= tol ||T||_F and lambda_min(H) > threshold (``strict``) or
+    lambda_min(H) >= -threshold, where threshold = tol max(1, ||T||_F). margin: lambda_min(H)
+    less +threshold or -threshold; inf when T is not Hermitian. delta: the band
+    (n + 2) u (tr|H| + n threshold), u = 2^-53, within which a Cholesky factorization of
+    H -+ threshold I may decide either way: Rump's (n + 2) u tr|H| bound for a completed
+    factorization (BIT 46, 2006), widened by the rounding of the shift on the diagonal.
+    """
+    stack = np.asarray(stack, dtype=COMPLEX)
+    n = stack.shape[-1]
+    out = []
+    for t in stack:
+        norm = _norm(t)
+        threshold = tol * max(1.0, norm)
+        w = np.linalg.eigvalsh(t / 2 + t.conj().T / 2)
+        hermitian = _norm(t - t.conj().T) <= tol * norm
+        with np.errstate(over="ignore"):  # near the float range: an infinite margin or band
+            margin = w[0] - (threshold if strict else -threshold) if hermitian else math.inf
+            delta = (n + 2) * 2.0**-53 * (np.abs(w).sum() + n * threshold)
+        verdict = hermitian and (margin > 0 if strict else margin >= 0)
+        out.append((verdict, margin, delta))
+    verdicts, margins, deltas = (np.array(x) for x in zip(*out))
+    return verdicts, margins, deltas

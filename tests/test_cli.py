@@ -605,7 +605,7 @@ def test_unwritable_out_is_input_error_on_stdout(t, report, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["classify", "pd-decompose", "decompose-selfadjoint"])
-def test_overflowing_liouville_matrix_is_input_error_under_warnings_as_errors(command):
+def test_overflowing_liouville_matrix_is_numerical_error_under_warnings_as_errors(command):
     # the Liouville matrix of (1e200 I, 1e200 I) is 1e400 I: every command that tests its
     # Hermiticity reports a result beyond the float range, a NumericalError (exit 2), without
     # a warning; the input's entries are all finite
@@ -620,6 +620,42 @@ def test_overflowing_liouville_matrix_is_input_error_under_warnings_as_errors(co
                      "message": "Liouville matrix exceeds the float range"}
     assert "Traceback" not in code.stderr
     assert code.stderr == f"hsdecomp {command}: error: {error['message']}\n"
+
+
+@pytest.mark.parametrize("variant", ["left", "right"])
+def test_decompose_basis_reports_an_overflowing_liouville_matrix_as_numerical_error(
+        variant, capsys, monkeypatch):
+    """The Liouville matrix of (1e200 I, 1e200 I) is 1e400 I: decompose-basis read it as bad
+    input ("liouville: entries must be finite", exit 1); it is a result beyond the float
+    range, as classify and pd-decompose report it."""
+    obj = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}
+    code, out, err = run_cli(["decompose-basis", "--variant", variant], json.dumps(obj),
+                             capsys, monkeypatch)
+    assert code == 2, err
+    assert json.loads(out)["error"] == {"type": "NumericalError",
+                                        "message": "Liouville matrix exceeds the float range"}
+    assert err == "hsdecomp decompose-basis: error: Liouville matrix exceeds the float range\n"
+
+
+@pytest.mark.parametrize("op", [
+    counterexample_superop(0.25),  # a report below the write buffer: the flush fails
+    psd_sum(np.random.default_rng(6), 8, 64),  # an 800 KB report: the write fails
+], ids=["small", "d8"])
+def test_a_closed_stdout_is_one_error_line_and_no_traceback(op):
+    """The reader of stdout exits before the report is written (as in ``... | hsdecomp reduce
+    --tol 1``): exit 1 with one line on stderr, and the interpreter's final flush, into
+    os.devnull, raises nothing more."""
+    child = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", "reduce"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    child.stdout.close()  # before the child writes: it reads all of stdin first
+    child.stdin.write(json.dumps(operator_to_obj(op)))
+    child.stdin.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1, err
+    assert err == "hsdecomp reduce: error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 _HUGE_SUM = {"dim": 2, "terms": [{"a": _HUGE, "b": _HUGE}]}

@@ -17,6 +17,7 @@ from hsdecomp import (
     reduce_terms,
     unvec,
 )
+from hsdecomp import counterexample_superop, posdecomp, to_liouville
 from hsdecomp.core import (
     _frob_norms,
     _lambda_min_stack,
@@ -26,9 +27,12 @@ from hsdecomp.core import (
     hermitian_part,
     skew_part,
 )
-from hsdecomp.superop import left_blocks
+from hsdecomp.superop import left_blocks, selfadjoint_blocks
 from helpers import (
+    count_linalg,
     frob_inner_loops,
+    positive_oracle,
+    psd_sum,
     random_hermitian,
     random_matrix,
     random_psd,
@@ -341,6 +345,133 @@ def test_an_entry_near_the_float_range_classifies_without_overflow(diag, kind):
     assert lam[0] == diag[1] and threshold[0] == pytest.approx(1.5e299)
     np.testing.assert_array_equal(hermitian_part(t), t)
     np.testing.assert_array_equal(skew_part(t), np.zeros((2, 2)))
+
+
+def _stacks_tested_by_pd_decompose(s):
+    """Copies of the stacks, and their strictness, that ``pd_decompose(s)`` decides by
+    ``_positive`` (the beta, alpha and lift stages)."""
+    seen, positive = [], posdecomp._positive
+
+    def spy(stack, tol, strict=True):
+        seen.append((np.array(stack), strict))
+        return positive(stack, tol, strict)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posdecomp, "_positive", spy)
+        pd_decompose(s)
+    return seen
+
+
+def positive_corpus():
+    """Named stacks for the Cholesky verdicts: the factors of a d = 8 ``psd_sum`` and the
+    stacks ``pd_decompose`` decides on it, the counterexample's selfadjoint blocks and
+    decided stacks for t = 0.25 down to 1e-6, mixed members (non-Hermitian ones among them)
+    and d = 1, each at every scale of the band 1e-12..1e300."""
+    rng = np.random.default_rng(240)
+    s = psd_sum(rng, 8, 64)
+    base = {"psd-sum-d8 factors": np.array([m for t in s.terms for m in (t.a, t.b)])}
+    for i, (stack, _) in enumerate(_stacks_tested_by_pd_decompose(s)):
+        base[f"psd-sum-d8 decided {i}"] = stack
+    for t in (0.25, 1e-2, 1e-4, 1e-6):
+        op = counterexample_superop(t)
+        base[f"counterexample {t} blocks"] = selfadjoint_blocks(to_liouville(op))
+        for i, (stack, _) in enumerate(_stacks_tested_by_pd_decompose(op)):
+            base[f"counterexample {t} decided {i}"] = stack
+    for d in (2, 8):
+        base[f"mixed d{d}"] = mixed_stack(rng, d, 1.0)
+    base["d1"] = np.array([[[x]] for x in (2.0, -3.0, 0.0, 1e-10, -1e-10, 1 + 1j, 1e-3j)])
+    for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12, 1e154, 1e300):
+        for name, stack in base.items():
+            yield f"{name} x {scale:g}", scale * stack
+
+
+def _near(stack, tol, strict, rng):
+    """``stack``'s Hermitian parts, each moved by a multiple of the identity to put lambda_min
+    a random few multiples of ``positive_oracle``'s band from the threshold, either side."""
+    _, margin, delta = positive_oracle(stack, tol, strict)
+    h = hermitian_part(stack)
+    shift = np.where(np.isfinite(margin), margin, 0.0) - rng.uniform(-4.0, 4.0, len(h)) * delta
+    return h - shift[:, None, None] * np.eye(h.shape[-1])
+
+
+def test_positive_agrees_with_the_eigvalsh_oracle_outside_its_band():
+    """On every stack of ``positive_corpus``, and on its Hermitian parts moved next to each
+    threshold, the Cholesky verdicts equal ``positive_oracle``'s wherever lambda_min lies more
+    than delta = (n + 2) u (tr|H| + n threshold) from the threshold (u = 2^-53)."""
+    rng = np.random.default_rng(241)
+    compared, near, verdicts = 0, 0, set()
+    for name, stack in positive_corpus():
+        for strict in (True, False):
+            for stack_ in (stack, _near(stack, 1e-9, strict, rng)):
+                got = _positive(stack_, 1e-9, strict)
+                expected, margin, delta = positive_oracle(stack_, 1e-9, strict)
+                outside = np.abs(margin) > delta
+                assert got[outside].tolist() == expected[outside].tolist(), (name, strict)
+                compared += int(outside.sum())
+                near += int((outside & (np.abs(margin) < 4 * delta)).sum())
+                verdicts.update(expected[outside].tolist())
+    assert verdicts == {True, False}
+    assert compared > 5000 and near > 1000, (compared, near)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, 1e300])
+def test_positive_decides_a_relative_1e_6_from_the_threshold(d, scale, tol):
+    """lambda_min = threshold (1 +- 1e-6) for the PD test and -threshold (1 -+ 1e-6) for the
+    PSD test, the other eigenvalues |lambda_min| + scale r, r in [1, 2], and threshold =
+    tol max(1, ||H||_F) solved for by a fixed-point iteration. Diagonal matrices factor
+    exactly; a unitary rotation (at tol 1e-3, where 1e-6 of the threshold is far above its
+    rounding) does not. Each decides as its side."""
+    rng = np.random.default_rng([242, d])
+    u = random_unitary(rng, d)
+    rest = scale * rng.uniform(1.0, 2.0, d - 1)
+    for strict in (True, False):
+        for eps, side in ((1e-6, strict), (-1e-6, not strict)):
+            sign = 1.0 if strict else -1.0
+            lam = 0.0
+            for _ in range(8):
+                w = np.concatenate([[lam], abs(lam) + rest])
+                lam = sign * tol * max(1.0, scale * float(np.linalg.norm(w / scale))) * (1 + eps)
+            w = np.concatenate([[lam], abs(lam) + rest])
+            stacks = [np.diag(w)[None]]
+            if tol == 1e-3:
+                stacks.append(((u * w) @ u.conj().T)[None])
+            for stack in stacks:
+                assert positive_oracle(stack, tol, strict)[0].tolist() == [side]
+                assert _positive(stack, tol, strict).tolist() == [side], (strict, eps)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_positive_verdicts_do_not_depend_on_the_neighbours(monkeypatch, d):
+    """A stack holding a failing matrix fails its one stacked cholesky; then each matrix is
+    factored alone, and decides as it does in a stack of its own."""
+    rng = np.random.default_rng(243 + d)
+    stack = np.concatenate([mixed_stack(rng, d, 1.0), random_psd(rng, d)[None]])
+    for strict in (True, False):
+        alone = [_positive(m[None], 1e-9, strict)[0] for m in stack]
+        assert set(alone) == {True, False}
+        counts = count_linalg(monkeypatch, "cholesky")
+        assert _positive(stack, 1e-9, strict).tolist() == alone
+        assert counts["cholesky"] == 1 + len(stack)
+        counts["cholesky"] = 0
+        passing = stack[np.array(alone)]
+        assert _positive(passing, 1e-9, strict).all() and counts["cholesky"] == 1
+
+
+@pytest.mark.parametrize("t, tol, pd, psd", [
+    (np.diag([1.5e308, 0.5e308]), 0.5, False, True),  # 1.5e308 + threshold 7.9e307 overflows
+    (np.array([[1e308, 0.85e308], [0.85e308, -0.8e308]]), 0.5, False, False),
+    (np.diag([1.5e308, -1.0]), 1e-9, False, True),
+])
+def test_positive_near_the_float_range_decides_without_overflow(t, tol, pd, psd):
+    """The factored matrix is (H -+ threshold I) / 2, whose diagonal cannot overflow: an
+    infinite diagonal entry would factor as if its row were decoupled, and pass the second
+    matrix (lambda_min -1.1e308) as PSD."""
+    assert _positive(t[None], tol).tolist() == [pd]
+    assert _positive(t[None], tol, strict=False).tolist() == [psd]
+    assert positive_oracle(t[None], tol)[0].tolist() == [pd]
+    assert positive_oracle(t[None], tol, strict=False)[0].tolist() == [psd]
 
 
 @pytest.mark.parametrize("t", [

@@ -579,13 +579,14 @@ def test_grow_margins_first_checks_are_stacked_then_grown_in_order(monkeypatch):
         return positive(stack, *args, **kwargs)
 
     monkeypatch.setattr(posdecomp, "_positive", spy)
-    counts = count_linalg(monkeypatch, "eigh")
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
     # entries 0 and 3 start at 0, where the offset is PSD but not PD, and grow by v -> 2v + 1
-    # to 1; entry 1 holds at 6 and entry 2 at 0. One pencil solve, one stacked check, two growths.
+    # to 1; entry 1 holds at 6 and entry 2 at 0. One pencil solve (an eigh and the cholesky of
+    # its base), one stacked check (a failing cholesky, then one per matrix), two growths.
     values, stack = _grow_margins(base, offsets, True, 1e-9, _Tracer(), labels)
     assert values.tolist() == [1.0, 6.0, 0.0, 1.0]
     assert np.array_equal(stack, values[:, None, None] * base + offsets)
-    assert counts["eigh"] == 1 + 1 + 2
+    assert counts == {"eigh": 1, "cholesky": 1 + (1 + 4) + 2}
     assert [len(t) for t in tested] == [4, 1, 1]
     assert np.array_equal(tested[1][0], offsets[0] + base)
     assert np.array_equal(tested[2][0], offsets[3] + base)
@@ -841,14 +842,15 @@ def test_ray_window_certificate_is_found_by_the_walk():
 
 
 def test_near_threshold_miss_is_left_to_the_walk(monkeypatch):
-    """The limit fails its own test, but within the slack: after the lead check, the pencil
-    and the limit check, the search walks all 20 halvings, one eigh each."""
+    """The limit fails its own test, but within the slack: after the lead check (a
+    cholesky), the pencil (a cholesky and an eigh) and the limit check, the search walks all
+    20 halvings, one eigh each."""
     signed = near_threshold_fixture()
     limit = zeta_check(signed, ZetaCertificate((1 - 2.0**-20,)))
     assert -1e-8 < limit.a_margin < -1e-9 and not limit.ok
-    counts = count_linalg(monkeypatch, "eigh")
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
     assert find_zeta_certificate(signed) is None
-    assert counts["eigh"] == 3 + 20
+    assert counts == {"eigh": 2 + 20, "cholesky": 2}
 
 
 def test_a_passes_b_fails_fixture_exercises_both_branches():
@@ -914,16 +916,13 @@ def test_a_norm_beyond_the_float_range_at_the_ray_limit_is_left_to_the_walk():
 
 
 def test_zeta_search_work_counts(monkeypatch):
-    """Counts, not wall time: a search with no certificate makes at most
-    2 eigh calls per halving plus 2, and factors the base b_1 once. This is
-    the bound of the full walk; a miss that the ray-limit check decides
-    makes far fewer (see the test below)."""
+    """Counts, not wall time: this search has no certificate, and the ray-limit check
+    decides the miss before the walk. It factors b_1 twice, once for the lead check and
+    once as the pencil base, and makes 2 eigh calls, the pencil's and the limit's."""
     signed, _ = pd_decompose(psd_sum(np.random.default_rng(47), 4, 16))
     counts = count_linalg(monkeypatch, "eigh", "cholesky")
-    max_halvings = 20
-    assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
-    assert counts["eigh"] <= 2 * max_halvings + 2
-    assert counts["cholesky"] == 1
+    assert find_zeta_certificate(signed, max_halvings=20) is None
+    assert counts == {"eigh": 2, "cholesky": 2}
 
 
 @pytest.mark.parametrize("make", [
@@ -931,47 +930,48 @@ def test_zeta_search_work_counts(monkeypatch):
     lambda: psd_sum(np.random.default_rng(50), 8, 64),
 ], ids=["counterexample", "psd-sum-d8"])
 def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
-    """Counts, not wall time: a miss decided at the end of the ray makes 3 eigh calls
-    (lead b_1, the shared pencil, the limit with the ray sum, before the walk) and one
-    cholesky, however many halvings the ray has."""
+    """Counts, not wall time: a miss decided at the end of the ray makes 2 eigh calls
+    (the shared pencil, the limit with the ray sum, before the walk) and 2 cholesky calls
+    (the lead check of b_1, the pencil base), however many halvings the ray has."""
     signed, _ = pd_decompose(make())
     counts = count_linalg(monkeypatch, "eigh", "cholesky")
     for max_halvings in (20, 60):
         counts.update(eigh=0, cholesky=0)
         assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
-        assert counts == {"eigh": 3, "cholesky": 1}
+        assert counts == {"eigh": 2, "cholesky": 2}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_pd_decompose_work_counts(monkeypatch, d):
-    """Counts, not wall time: the eigh calls of pd_decompose do not grow with
-    the d^2 basis pairs. One classifies the input, one solves the diagonal
-    pencil, each offset try makes one (a stacked check of the pair), and the
-    margin and lift stages make two each for beta, alpha and lambda (a pencil
-    solve and a stacked check), when no first candidate needs growing."""
+    """Counts, not wall time: the eigh and cholesky calls of pd_decompose do not grow
+    with the d^2 basis pairs. One eigh classifies the input, one solves the diagonal
+    pencil, each offset try makes one (a stacked check of the pair), and the margin and
+    lift stages make one each for beta, alpha and lambda (a pencil solve). The four
+    pencil solves each factor their base by cholesky, and the three stages decide their
+    stacked check by one cholesky each, when no first candidate needs growing."""
     s = psd_sum(np.random.default_rng(48), d, d * d)
-    counts = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    counts = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky")
     signed, trace = pd_decompose(s)
     made = dict(counts)
     check_pd_output(signed, to_liouville(s))
     shrinks = trace.step("diag_pencil").data["shrinks"]
-    assert made["eigh"] == 9 + shrinks
-    assert made["eigvalsh"] == 0
+    assert made == {"eigh": 6 + shrinks, "eigvalsh": 0, "cholesky": 4 + 3}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_pipeline_builds_the_liouville_matrix_once(monkeypatch, d):
     """Counts: on one LRSum, classify_superop, selfadjoint_decompose and pd_decompose share
     one Liouville matrix, and pd_decompose classifies from the spectrum classify_superop
-    stored, one eigh fewer than the 9 + shrinks of a fresh sum."""
+    stored, one eigh fewer than the 6 + shrinks of a fresh sum."""
     s = psd_sum(np.random.default_rng(48), d, d * d)
     built = liouville_builds(monkeypatch, (superop, posdecomp))
     classify_superop(s)
     selfadjoint_decompose(s)
-    counts = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    counts = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky")
     _, trace = pd_decompose(s)
     assert len(built) == 1
-    assert counts == {"eigh": 8 + trace.step("diag_pencil").data["shrinks"], "eigvalsh": 0}
+    assert counts == {"eigh": 5 + trace.step("diag_pencil").data["shrinks"], "eigvalsh": 0,
+                      "cholesky": 4 + 3}
 
 
 def test_decompositions_classify_without_classify_hermitian(monkeypatch):

@@ -214,6 +214,19 @@ def test_operator_round_trip():
         assert rel_err(t1.b, t0.b) == 0.0
 
 
+@pytest.mark.parametrize("d, n_terms", [(1, 0), (1, 3), (3, 0), (4, 5), (8, 2)])
+def test_operator_rows_match_matrix_to_rows_per_factor(d, n_terms):
+    """The rows of every factor come from one array; they render as ``matrix_to_rows`` of
+    each factor does, signed zeros and an empty operator included."""
+    rng = np.random.default_rng(62 + d)
+    s = random_lrsum(rng, d, n_terms)
+    if n_terms:
+        s = SignedLRSum(d, (LRTerm(-0.0 * s.terms[0].a, s.terms[0].b, -1),) + s.terms[1:])
+    expected = {"dim": d, "terms": [{"sign": t.sign, "a": matrix_to_rows(t.a),
+                                     "b": matrix_to_rows(t.b)} for t in s.terms]}
+    assert canonical_dumps(operator_to_obj(s)) == canonical_dumps(expected)
+
+
 def test_signed_operator_round_trip():
     obj = {
         "dim": 2,
