@@ -73,17 +73,21 @@ def _build_parser() -> _Parser:
 
 
 def _read_input(args) -> object:
-    if args.infile:
-        try:
+    """The parsed JSON input. An input that cannot be read or does not decode (an ``--in``
+    file is read as UTF-8, stdin in the locale's encoding), text that is not JSON, JSON nested
+    too deep for the parser and an integer literal over the interpreter's digit limit are
+    each an InputError."""
+    try:
+        if args.infile:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.infile}: {exc}") from exc
-    else:
-        text = sys.stdin.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {args.infile or 'stdin'}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"invalid JSON input: {exc}") from exc
 
 

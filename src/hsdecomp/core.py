@@ -20,15 +20,17 @@ Conventions
   drop test's (at tol 1e-13), ``_nonvanishing_vector``'s, the two-sum vanishing-factor
   test's and the ray-limit slack's.
   ``_positivity_class`` maps (lambda_min, threshold) to the class for ``classify_hermitian``,
-  the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``. Only
-  ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report a witness and kernel;
-  the rest read lambda_min (NaN where not Hermitian), of a matrix stack from
-  ``_lambda_min_stack``; a stacked PD or PSD verdict (``_positive``) is instead a completed
-  Cholesky factorization of H - threshold I or H + threshold I after the same rule, which
-  can differ from the class only within (n + 2) u (tr|H| + n threshold) of the threshold.
+  the decompositions' "classify" steps, ``classify_form`` and ``build_inner_product``'s
+  refusal messages. Only ``classify_superop`` (via ``_classify``) and ``diag_blocks`` report
+  a witness and kernel; the rest read lambda_min (NaN where not Hermitian), of a matrix stack
+  from ``_lambda_min_stack``; a stacked PD or PSD verdict (``_positive``, with one strictness
+  for the stack or one per matrix, as ``build_inner_product`` decides its PSD left and PD
+  right factors together) is instead a completed Cholesky factorization of
+  H - threshold I or H + threshold I after the same rule, which can differ from the class
+  only within (n + 2) u (tr|H| + n threshold) of the threshold.
   Operators are classified in ``superop``, from the values an LRSum
-  stores: its Liouville matrix, the rule's norm pass of that matrix and the ``eigh`` of its
-  Hermitian part. ``_operator_lambda_min`` reads the spectrum and ``_selfadjoint_liouville``
+  stores: its Liouville matrix, the rule's norm pass of that matrix, its Hermitian part and
+  that part's ``eigh``. ``_operator_lambda_min`` reads the spectrum and ``_selfadjoint_liouville``
   refuses a non-selfadjoint operator, each after the rule's decision at the caller's tol;
   ``classify_superop`` passes the stored norms and spectrum to ``_classify``. Different on
   purpose: the one-sum zero test ||M||_F <= tol (absolute), the sigma_max-relative rank tests
@@ -165,10 +167,11 @@ def skew_part(t) -> np.ndarray:
 def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first nonzero component is real positive."""
     v = np.asarray(v, dtype=_COMPLEX).copy()
-    amax = np.max(np.abs(v)) if v.size else 0.0
+    mags = np.abs(v)
+    amax = np.max(mags) if v.size else 0.0
     if amax == 0.0:
         return v
-    idx = int(np.argmax(np.abs(v) > 1e-12 * amax))
+    idx = int(np.argmax(mags > 1e-12 * amax))
     pivot = v[idx]
     if pivot != 0:
         v *= np.conj(pivot) / abs(pivot)
@@ -304,8 +307,9 @@ def _factors(ms: np.ndarray) -> bool:
     return True
 
 
-def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
-    """Whether each matrix of a (k, n, n) stack is positive definite (``strict``) or semidefinite.
+def _positive(stack, tol: float, strict=True) -> np.ndarray:
+    """Whether each matrix of a (k, n, n) stack is positive definite (``strict``) or semidefinite;
+    ``strict`` is one bool for the whole stack or a (k,) bool array, one per matrix.
 
     The verdicts of ``_lambda_min_stack`` (lambda_min > threshold, lambda_min >= -threshold),
     decided without an eigensolve: a matrix passes iff ``_tolerance_rule`` finds it Hermitian
@@ -322,7 +326,7 @@ def _positive(stack, tol: float, strict: bool = True) -> np.ndarray:
     non_hermitian, threshold = _tolerance_rule(ts, _rule_norms(ts), tol)
     h = hermitian_part(ts / 2)
     diag = np.arange(h.shape[-1])
-    h[:, diag, diag] -= (threshold / 2 if strict else -threshold / 2)[:, None]
+    h[:, diag, diag] -= np.where(strict, threshold / 2, -threshold / 2)[:, None]
     if _factors(h):
         return ~non_hermitian
     return ~non_hermitian & np.array([_factors(m) for m in h], dtype=bool)

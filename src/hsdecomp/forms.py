@@ -20,13 +20,21 @@ from .core import (
     DEFAULT_TOL,
     PositivityClass,
     _lambda_min_stack,
+    _positive,
     _positivity_class,
     as_square_matrix,
     op_norm,
 )
 from .exceptions import HypothesisViolatedError, InputError, NotInnerProductError
-from .pencil import pencil_extremes
-from .superop import LRSum, _operator_lambda_min, apply_superop, to_liouville, unvec
+from .pencil import _hermitian_extremes
+from .superop import (
+    LRSum,
+    _hermitian_liouville,
+    _operator_lambda_min,
+    apply_superop,
+    to_liouville,
+    unvec,
+)
 
 __all__ = [
     "FormKind",
@@ -109,6 +117,12 @@ def form_norm(phi: Form) -> float:
     return op_norm(to_liouville(phi.op))
 
 
+def _factor_class(x: np.ndarray, tol: float) -> PositivityClass:
+    """The positivity class of one factor, for the message that refuses it."""
+    (lam,), (threshold,) = _lambda_min_stack(x[None], tol)
+    return _positivity_class(lam, threshold)
+
+
 def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     """Assemble a (definite) inner product from validated factor families.
 
@@ -117,6 +131,10 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     every right factor positive definite. With finitely many terms the
     right factors' greatest lower bounds are bounded away from zero, so
     the resulting form is automatically a definite inner product.
+
+    Both positivity hypotheses are decided by one ``core._positive`` call on the stacked
+    factors, PSD for the left ones and PD for the right ones; a refused factor's class,
+    named in the message, is then read from its ``eigh``.
 
     Raises
     ------
@@ -135,18 +153,17 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     for i, (a, b) in enumerate(zip(a_list, b_list)):
         if a.shape[0] != dim or b.shape[0] != dim:
             raise InputError(f"factor pair {i} has inconsistent dimension")
-    lam, threshold = _lambda_min_stack(np.stack(a_list + b_list), tol)
-    bad = np.flatnonzero(~(lam >= -threshold)[:len(a_list)])
+    ok = _positive(np.stack(a_list + b_list), tol, np.repeat([False, True], len(a_list)))
+    bad = np.flatnonzero(~ok[:len(a_list)])
     if bad.size:
         i = int(bad[0])
         raise HypothesisViolatedError(
             f"left factor {i} is not positive semidefinite "
-            f"(classifies {_positivity_class(lam[i], threshold[i]).value})",
+            f"(classifies {_factor_class(a_list[i], tol).value})",
             index=i,
             reason="left factor not PSD",
         )
-    stacked = np.vstack(a_list)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    svals = np.linalg.svd(np.vstack(a_list), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
     if rank < dim:
         raise HypothesisViolatedError(
@@ -154,13 +171,12 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
             index=None,
             reason="joint kernel nontrivial",
         )
-    bad = np.flatnonzero(~(lam > threshold)[len(a_list):])
+    bad = np.flatnonzero(~ok[len(a_list):])
     if bad.size:
         i = int(bad[0])
-        k = len(a_list) + i
         raise HypothesisViolatedError(
             f"right factor {i} is not positive definite "
-            f"(classifies {_positivity_class(lam[k], threshold[k]).value})",
+            f"(classifies {_factor_class(b_list[i], tol).value})",
             index=i,
             reason="right factor not PD",
         )
@@ -191,7 +207,8 @@ def equivalence_constants(
     Both forms must classify as (definite) inner products. The constants
     are the square roots of the extreme eigenvalues of the pencil of the
     second Liouville matrix against the first; pencil eigenvectors,
-    unstacked to matrices, attain them.
+    unstacked to matrices, attain them. The pencil is solved on the Hermitian
+    parts the two operators store.
     """
     for name, phi in (("first", phi1), ("second", phi2)):
         fc = _form_class(phi, tol)
@@ -201,7 +218,7 @@ def equivalence_constants(
             )
     if phi1.dim != phi2.dim:
         raise InputError(f"form dimensions disagree: {phi1.dim} vs {phi2.dim}")
-    ext = pencil_extremes(to_liouville(phi2.op), to_liouville(phi1.op))
+    ext = _hermitian_extremes(_hermitian_liouville(phi2.op), _hermitian_liouville(phi1.op))
     c_lo = float(np.sqrt(max(ext.lambda_min, 0.0)))
     c_hi = float(np.sqrt(max(ext.lambda_max, 0.0)))
     return EquivalenceResult(

@@ -7,6 +7,11 @@ L⁻¹ B L⁻*, and an eigenvector y of that matrix gives v = L⁻* y with
 v* C v = 1. Only numpy is used. On top of the solve sits the deterministic
 eigenvector phase convention used throughout the package.
 
+``pencil_extremes`` validates and Hermitizes its inputs, then hands them to
+``_hermitian_extremes``, the one solve body for extreme values;
+``forms.equivalence_constants`` calls that body directly on the Hermitian
+Liouville matrices its two operators store.
+
 Several pencils that share the base C are solved together by
 ``_pencil_minima``: it factors C and forms L⁻¹ once, runs one batched
 ``eigh`` over the stack of L⁻¹ B_i L⁻*, and yields the smallest eigenvalue
@@ -57,12 +62,19 @@ def _reduced_eigh(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return w, y, l_inv
 
 
-def _solve(b, c) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending pencil eigenvalues and C-orthonormal eigenvectors, unphased."""
+def _checked(b, c) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian parts of ``b`` and ``c``, each validated as a finite square matrix, of
+    one size."""
     b = hermitian_part(as_square_matrix(b, "b"))
     c = hermitian_part(as_square_matrix(c, "c"))
     if b.shape != c.shape:
         raise InputError(f"dimension mismatch: {b.shape[0]} vs {c.shape[0]}")
+    return b, c
+
+
+def _solve(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pencil eigenvalues and C-orthonormal eigenvectors, unphased, of Hermitian
+    ``b`` and ``c`` of one size (not checked)."""
     w, y, l_inv = _reduced_eigh(b, c)
     if not np.isfinite(w).all():
         raise NumericalError(_OVERFLOW)
@@ -97,7 +109,7 @@ def pencil_eigh(b, c) -> tuple[np.ndarray, np.ndarray]:
     definite for the generalized problem to be well posed. The eigenvectors
     are C-orthonormal: v* C v = I.
     """
-    w, v = _solve(b, c)
+    w, v = _solve(*_checked(b, c))
     v = np.column_stack([fix_phase(v[:, i]) for i in range(v.shape[1])])
     return w, v
 
@@ -108,6 +120,13 @@ def pencil_extremes(b, c) -> PencilExtremes:
     Only the two extreme eigenvectors are phase-fixed; each witness equals
     the normalized first or last column of ``pencil_eigh``.
     """
+    return _hermitian_extremes(*_checked(b, c))
+
+
+def _hermitian_extremes(b: np.ndarray, c: np.ndarray) -> PencilExtremes:
+    """``pencil_extremes`` of Hermitian ``b`` and ``c`` of one size, taken as given: no copy,
+    check or Hermitization, for matrices that already are, such as the Hermitian Liouville
+    matrices an operator stores."""
     w, v = _solve(b, c)
     v_min = fix_phase(v[:, 0])
     v_max = fix_phase(v[:, -1])

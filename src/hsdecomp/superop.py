@@ -17,12 +17,13 @@ positivity and greatest lower bounds of the induced quadratic form on
 the matrix space are read off its ordinary eigendecomposition.
 
 An LRSum is frozen and each LRTerm owns private read-only copies of its
-factors, so three values are properties of the operator: the Liouville
+factors, so four values are properties of the operator: the Liouville
 matrix, the norm pass of the tolerance rule on it (||L||_F and
-||L - L*||_F, from ``core._rule_norms``) and the ``eigh`` of its Hermitian
-part. Each is computed on first use, then kept read-only on the LRSum
-(about 128 KB at d = 8), ignored by equality and pickling. They hold no
-tolerance; each call applies only its own ``tol``.
+||L - L*||_F, from ``core._rule_norms``), its Hermitian part and the
+``eigh`` of that part. Each is computed on first use, then kept read-only
+on the LRSum (about 192 KB at d = 8), ignored by equality and pickling.
+They hold no tolerance; each call applies only its own ``tol``. The pencil
+of ``forms.equivalence_constants`` reads the stored Hermitian parts.
 """
 
 from __future__ import annotations
@@ -234,10 +235,15 @@ def _stored(s: LRSum, key: str, compute):
     return value
 
 
+def _hermitian_liouville(s: LRSum) -> np.ndarray:
+    """The Hermitian part of ``to_liouville(s)``, computed once and kept on ``s`` read-only."""
+    return _stored(s, "hermitian", lambda: hermitian_part(to_liouville(s)))
+
+
 def _hermitian_spectrum(s: LRSum) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of the Hermitian part of ``to_liouville(s)``, computed once and kept on ``s``
-    read-only; the classifiers call it only once their tolerance rule has passed."""
-    return _stored(s, "eigh", lambda: np.linalg.eigh(hermitian_part(to_liouville(s))))
+    """``eigh`` of ``_hermitian_liouville(s)``, computed once and kept on ``s`` read-only; the
+    classifiers call it only once their tolerance rule has passed."""
+    return _stored(s, "eigh", lambda: np.linalg.eigh(_hermitian_liouville(s)))
 
 
 def _liouville_rule_norms(s: LRSum, tol: float) -> tuple[np.ndarray, np.ndarray]:

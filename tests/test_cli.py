@@ -604,6 +604,45 @@ def test_unwritable_out_is_input_error_on_stdout(t, report, tmp_path, capsys):
     assert not out_path.parent.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[" * 100_000 + "]" * 100_000,
+     "invalid JSON input: maximum recursion depth exceeded while decoding a JSON array"),
+    ("1" * 4301, "invalid JSON input: Exceeds the limit (4300 digits) for integer string"),
+    (b'{"dim": 2, "terms": []}\xff',
+     "cannot read {}: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"),
+], ids=["nested-100000-deep", "int-of-4301-digits", "not-utf-8"])
+def test_input_the_parser_cannot_decode_is_input_error(content, message, tmp_path, capsys):
+    """json.loads raises RecursionError on deep nesting and ValueError past the interpreter's
+    int digit limit, and reading a file that is not UTF-8 raises UnicodeDecodeError: each is
+    an error report with exit 1, not a traceback."""
+    path = tmp_path / "in.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    code = main(["classify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(message.format(path))
+    assert err == f"hsdecomp classify: error: {error['message']}\n"
+
+
+def test_stdin_that_is_not_utf_8_is_input_error(capsys, monkeypatch):
+    """A UTF-8 locale decodes stdin strictly (the C locale escapes a bad byte, which the JSON
+    parser then refuses)."""
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"dim": 2, "terms": []}\xff'), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["classify"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    message = ("cannot read stdin: 'utf-8' codec can't decode byte 0xff in position 23: "
+               "invalid start byte")
+    assert json.loads(out)["error"] == {"type": "InputError", "message": message}
+    assert err == f"hsdecomp classify: error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["classify", "pd-decompose", "decompose-selfadjoint"])
 def test_overflowing_liouville_matrix_is_numerical_error_under_warnings_as_errors(command):
     # the Liouville matrix of (1e200 I, 1e200 I) is 1e400 I: every command that tests its

@@ -35,6 +35,7 @@ from helpers import (
     classify_form_reference,
     count_linalg,
     liouville_builds,
+    positive_oracle,
     psd_sum,
     random_hermitian,
     random_lrsum,
@@ -467,6 +468,54 @@ def test_build_inner_product_errors_match_full_classifier_on_corpus():
     assert reasons == {"left factor not PSD", "joint kernel nontrivial", "right factor not PD"}
 
 
+def _to_the_band(x, strict, side, tol=1e-9):
+    """The Hermitian part of ``x`` moved by a multiple of the identity so that its lambda_min
+    lies ``side`` times delta above the PD (``strict``) or PSD threshold, delta being
+    ``positive_oracle``'s Cholesky band; the shift is retaken while the threshold it moves
+    settles."""
+    h = core.hermitian_part(x)
+    for _ in range(3):
+        _, (margin,), (delta,) = positive_oracle(h[None], tol, strict)
+        h = h - (margin - side * delta) * np.eye(len(h))
+    return h
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_build_inner_product_decides_as_the_reference_next_to_each_threshold(d):
+    """Factors moved to 4 delta either side of their threshold (left factors the PSD one,
+    right factors the PD one), in families with and without a joint kernel: acceptance, and
+    a refusal's type, message, index and reason, are those of the reference, which
+    classifies each factor by ``classify_hermitian``."""
+    rng = np.random.default_rng([560, d])
+    outcomes = set()
+    for trial in range(48):
+        count = int(rng.integers(1, 4))
+        if trial % 4 == 3:  # every left factor vanishes on one vector
+            v = random_matrix(rng, d)[:, :1]
+            p = np.eye(d) - v @ v.conj().T / np.vdot(v, v)
+            a_list = [p @ random_psd(rng, d) @ p for _ in range(count)]
+        else:
+            a_list = [random_psd(rng, d, int(rng.integers(1, d + 1))) for _ in range(count)]
+        b_list = [random_pd(rng, d) for _ in range(count)]
+        for family, strict in ((a_list, False), (b_list, True)):
+            for i in np.flatnonzero(rng.random(count) < 0.5):
+                family[i] = _to_the_band(family[i], strict, rng.choice([-4.0, 4.0]))
+                _, (margin,), (delta,) = positive_oracle(family[i][None], 1e-9, strict)
+                assert 2 * delta < abs(margin) < 6 * delta
+        ref = build_inner_product_error_reference(a_list, b_list)
+        if ref is None:
+            build_inner_product(a_list, b_list)
+            outcomes.add("accepted")
+            continue
+        with pytest.raises(HypothesisViolatedError) as err:
+            build_inner_product(a_list, b_list)
+        assert type(err.value) is HypothesisViolatedError
+        assert (str(err.value), err.value.index, err.value.reason) == ref
+        outcomes.add(ref[2])
+    assert outcomes == {"accepted", "left factor not PSD", "joint kernel nontrivial",
+                        "right factor not PD"}
+
+
 # ------------------------------------------------------------ work counts
 
 
@@ -489,26 +538,38 @@ FORM_SPIES = ((forms, "to_liouville"), (core, "classify_hermitian"),
 
 
 def test_equivalence_constants_work_counts(monkeypatch):
-    """Each Liouville matrix is built and decided once; the only phase fixes are the
-    two witnesses of the pencil solve."""
+    """Each Liouville matrix is built, Hermitized and decided once; the pencil solve takes
+    the two stored Hermitian parts as they are, with no check, copy or Hermitization, and
+    its two witnesses are the only phase fixes."""
     rng = np.random.default_rng(530)
     phi1, phi2 = Form(psd_sum(rng, 4, 3)), Form(psd_sum(rng, 4, 2))
-    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
-    calls = spy(monkeypatch, FORM_SPIES)
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky")
+    built = liouville_builds(monkeypatch, (forms, superop))
+    calls = spy(monkeypatch, FORM_SPIES + ((superop, "hermitian_part"),))
+    unchecked = spy(monkeypatch, ((pencil, "as_square_matrix"), (pencil, "hermitian_part")))
     equivalence_constants(phi1, phi2)
-    assert calls == {"to_liouville": 2, "classify_hermitian": 0, "fix_phase": 2}
-    assert linalg == {"eigh": 3, "eigvalsh": 0}
+    assert len(built) == 2
+    assert calls == {"to_liouville": 0, "classify_hermitian": 0, "fix_phase": 2,
+                     "hermitian_part": 2}
+    assert unchecked == {"as_square_matrix": 0, "hermitian_part": 0}
+    assert linalg == {"eigh": 3, "eigvalsh": 0, "cholesky": 1}
 
 
 def test_build_inner_product_work_counts(monkeypatch):
+    """Accepted factors take one stacked Cholesky and no eigensolve; a refused factor takes
+    one eigh, for the class its message names."""
     rng = np.random.default_rng(531)
     a_list = [random_psd(rng, 3) + 0.05 * np.eye(3) for _ in range(3)]
     b_list = [random_pd(rng, 3) for _ in range(3)]
-    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh")
+    linalg = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky", "svd")
     calls = spy(monkeypatch, FORM_SPIES)
     build_inner_product(a_list, b_list)
-    assert linalg == {"eigh": 1, "eigvalsh": 0}
+    assert linalg == {"eigh": 0, "eigvalsh": 0, "cholesky": 1, "svd": 1}
     assert calls["classify_hermitian"] == 0
+    linalg.update(dict.fromkeys(linalg, 0))
+    with pytest.raises(HypothesisViolatedError, match="^right factor 1 .*Indefinite"):
+        build_inner_product(a_list, [b_list[0], -b_list[1], b_list[2]])
+    assert linalg == {"eigh": 1, "eigvalsh": 0, "cholesky": 1 + 6, "svd": 1}
 
 
 def test_classify_form_work_counts(monkeypatch):

@@ -37,7 +37,7 @@ from hsdecomp import (
     zeta_transform,
 )
 from hsdecomp import core, pencil, posdecomp, superop
-from hsdecomp.pencil import _pencil_minima
+from hsdecomp.pencil import _hermitian_extremes, _pencil_minima
 from hsdecomp.posdecomp import (
     _Tracer, _factor_stacks, _grow_margins, _nonvanishing_vector, _shrink_offset,
     _zeta_conditions,
@@ -1192,6 +1192,39 @@ def test_pencil_minima_raise_at_the_failing_pencil():
     assert next(minima) == pencil_extremes(np.diag([1.0, 0.0]), c).lambda_min
     with pytest.raises(NumericalError, match="overflowed"):
         next(minima)
+
+
+@pytest.mark.parametrize("b, c, message", [
+    (np.full((2, 2), np.nan), I2, "b: entries must be finite"),
+    (I2, np.array([[1.0, np.inf], [0.0, 1.0]]), "c: entries must be finite"),
+    ([[1, "a"], [1, 1]], I2, "b: not convertible to a complex matrix"),
+    (np.ones((2, 3)), I2, "b: expected a square matrix, got shape (2, 3)"),
+    (I2, np.ones(2), "c: expected a square matrix, got shape (2,)"),
+], ids=["nan-b", "inf-c", "unconvertible-b", "non-square-b", "vector-c"])
+def test_public_pencils_refuse_bad_input_with_their_messages(b, c, message):
+    """The public pencils check their inputs before the solve body, which takes its inputs
+    as given (``test_pencil_dimension_mismatch_is_input_error`` covers mismatched sizes)."""
+    for solve in (pencil_eigh, pencil_extremes):
+        with pytest.raises(InputError) as info:
+            solve(b, c)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_pencil_extremes_equals_the_hermitian_entry_bitwise(d):
+    """On Hermitian input (a Hermitian part, which the Hermitization leaves as it is), the
+    public call returns the bits of the internal entry it calls, also on read-only input."""
+    rng = np.random.default_rng(46 + d)
+    for scale in (1e-12, 1.0, 1e12):
+        b = core.hermitian_part(scale * random_matrix(rng, d))
+        c = core.hermitian_part(scale * random_pd(rng, d))
+        public = pencil_extremes(b, c)
+        b.setflags(write=False)
+        c.setflags(write=False)
+        entry = _hermitian_extremes(b, c)
+        for field in ("lambda_min", "lambda_max", "v_min", "v_max"):
+            got, expected = (np.asarray(getattr(x, field)) for x in (public, entry))
+            assert got.tobytes() == expected.tobytes(), (scale, field)
 
 
 def test_pencil_extremes_witnesses_match_pencil_eigh():

@@ -1,5 +1,5 @@
-"""An LRSum's Liouville matrix, the norm pass of its tolerance rule and its spectrum are
-computed once and kept on it.
+"""An LRSum's Liouville matrix, the norm pass of its tolerance rule, its Hermitian part and
+that part's spectrum are computed once and kept on it.
 
 Whatever another call stored, each public call returns the bits, traces and errors it
 returns on a fresh operator, at its own ``tol``.
@@ -158,7 +158,7 @@ def test_stored_arrays_are_read_only():
     s = psd_sum(np.random.default_rng(615), 3, 4)
     for call in CALLS:
         CALLS[call](s, 1e-9)
-    assert set(s._derived) == {"liouville", "rule_norms", "eigh"}
+    assert set(s._derived) == {"liouville", "rule_norms", "hermitian", "eigh"}
     for value in s._derived.values():
         for x in value if isinstance(value, tuple) else (value,):
             assert isinstance(x, np.ndarray) and not x.flags.writeable
