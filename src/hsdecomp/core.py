@@ -27,7 +27,10 @@ Conventions
   for the stack or one per matrix, as ``build_inner_product`` decides its PSD left and PD
   right factors together) is instead a completed Cholesky factorization of
   H - threshold I or H + threshold I after the same rule, which can differ from the class
-  only within (n + 2) u (tr|H| + n threshold) of the threshold.
+  only within (n + 2) u (tr|H| + n threshold) of the threshold. Every candidate factor that
+  ``pd_decompose`` or ``two_sum_pd`` accepts or rejects, each pencil-offset try among them,
+  is decided by ``_positive``; their ``eigh`` calls pick directions and pencil values and
+  make the trace's numbers, and accept or reject nothing.
   Operators are classified in ``superop``, from the values an LRSum
   stores: its Liouville matrix, the rule's norm pass of that matrix, its Hermitian part and
   that part's ``eigh``. ``_operator_lambda_min`` reads the spectrum and ``_selfadjoint_liouville``

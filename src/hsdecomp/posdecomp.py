@@ -51,8 +51,8 @@ from .exceptions import (
     NotPositiveError,
 )
 from .pencil import _pencil_minima, pencil_extremes
-from .superop import (LRSum, LRTerm, _operator_lambda_min, _selfadjoint_liouville, left_blocks,
-                      selfadjoint_blocks, to_liouville)
+from .superop import (LRSum, LRTerm, _liouville_rule_norms, _operator_lambda_min,
+                      _selfadjoint_liouville, left_blocks, selfadjoint_blocks, to_liouville)
 
 __all__ = [
     "SignedTerm",
@@ -168,22 +168,21 @@ def _nonvanishing_vector(x: np.ndarray, tol: float) -> tuple[np.ndarray, complex
     raise DegenerateFactorError("quadratic form of the factor vanishes numerically")
 
 
-def _shrink_offset(t0: float, x: np.ndarray, y: np.ndarray, companion, tol: float,
-                   tracer: _Tracer, label: str) -> tuple[float, float, int, np.ndarray, np.ndarray]:
-    """Pick t = (1 - eps) t0 with eps shrinking geometrically until x - t y and companion(t)
-    are both positive definite, tested as one stack per try.
+def _shrink_offset(t0: float, base: np.ndarray, step: np.ndarray, tol: float, tracer: _Tracer,
+                   label: str) -> tuple[float, float, int, np.ndarray]:
+    """Pick t = (1 - eps) t0 with eps shrinking geometrically until both matrices of the stack
+    base + t step are positive definite, decided by one ``_positive`` call per try.
 
-    Returns (t, eps, shrink_count, pair, lambda_min): the accepted stack [x - t y, companion(t)]
-    and the lambda_min of each. Raises NoProgressError below the floor.
+    Returns (t, eps, shrink_count, stack), the accepted stack. Raises NoProgressError below
+    the floor.
     """
     eps = _EPS_START
     shrinks = 0
     while True:
         t = (1.0 - eps) * t0
-        pair = np.stack([x - t * y, companion(t)])
-        lam, threshold = _lambda_min_stack(pair, tol)
-        if (lam > threshold).all():
-            return t, eps, shrinks, pair, lam
+        stack = base + t * step
+        if _positive(stack, tol).all():
+            return t, eps, shrinks, stack
         eps /= 2.0
         shrinks += 1
         if eps < _EPS_FLOOR:
@@ -234,7 +233,7 @@ def _classified(s: LRSum, tol: float, strict: bool = True) -> _Tracer:
     kind = _positivity_class(lam, threshold)
     tracer = _Tracer()
     tracer.add("classify", kind=kind.value, lambda_min=float(lam))
-    if not strict and frob_norm(to_liouville(s)) <= tol:
+    if not strict and _liouville_rule_norms(s, tol)[0][0] <= tol:
         raise NotPositiveError("superoperator is zero")
     if strict and kind is not PositivityClass.POSITIVE_DEFINITE:
         raise NotPositiveDefiniteError(
@@ -351,9 +350,10 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
 
     # stage 2: right-factor pencil
     t0 = next(_pencil_minima(q2[None], q1))
-    t, eps, shrinks, (offset_b, combined_a), lam = _shrink_offset(
-        t0, q2, q1, lambda t_: p1 + t_ * p2, tol, tracer, "right_pencil"
+    t, eps, shrinks, accepted = _shrink_offset(
+        t0, np.stack([q2, p1]), np.stack([-q1, p2]), tol, tracer, "right_pencil"
     )
+    (offset_b, combined_a), lam = accepted, _lambda_min_stack(accepted, tol)[0]
     terms = [(combined_a, q1), (p2, offset_b)]
     tracer.add(
         "right_pencil",
@@ -379,8 +379,8 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
         q_unit = q2 / delta_u
         tracer.add("fold_left", f0=f0, delta_u=delta_u, delta_g=delta_g)
         s0 = next(_pencil_minima(combined[None], p1))
-        s_off, eps, shrinks, (left, right), _ = _shrink_offset(
-            s0, combined, p1, lambda s_: q_mixed + s_ * q_unit, tol, tracer, "left_pencil"
+        s_off, eps, shrinks, (left, right) = _shrink_offset(
+            s0, np.stack([combined, q_mixed]), np.stack([-p1, q_unit]), tol, tracer, "left_pencil"
         )
         terms = [(p1, right), (left, q_unit)]
         tracer.add("left_pencil", s0=s0, s=s_off, eps=eps, shrinks=shrinks)
@@ -471,9 +471,9 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     e11 = matrix_unit(d, 1, 1)
     e22 = matrix_unit(d, 2, 2)
     gamma_tail = np.add.reduce(gamma.real[:, None, None] * hat[others])
-    t, eps, shrinks, (right2, left_comb), _ = _shrink_offset(
-        t0, diag2, diag1, lambda t_: gamma11 * (e11 + t_ * e22) + gamma_tail, tol, tracer,
-        "diag_pencil",
+    t, eps, shrinks, (right2, left_comb) = _shrink_offset(
+        t0, np.stack([diag2, gamma11 * e11 + gamma_tail]), np.stack([-diag1, gamma11 * e22]), tol,
+        tracer, "diag_pencil",
     )
     right1 = diag1 / gamma11
     tracer.add(

@@ -111,11 +111,10 @@ def operator_to_obj(s: LRSum) -> dict:
     """Normalized JSON object for an operator; the sign field is always explicit.
 
     The rows of every factor come from one array, the [re, im] pairs of ``matrix_to_rows``."""
-    k, d = len(s.terms), s.dim
-    factors = np.array([(t.a, t.b) for t in s.terms], dtype=np.complex128).reshape(k, 2, d, d)
-    rows = factors.view(np.float64).reshape(k, 2, d, d, 2).tolist()
+    factors = np.array([(t.a, t.b) for t in s.terms], dtype=np.complex128)
+    rows = factors.view(np.float64).reshape(*factors.shape, 2).tolist()
     terms = [{"sign": t.sign, "a": a, "b": b} for t, (a, b) in zip(s.terms, rows)]
-    return {"dim": d, "terms": terms}
+    return {"dim": s.dim, "terms": terms}
 
 
 def obj_to_operator(obj) -> LRSum:

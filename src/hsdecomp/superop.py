@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 _COMPLEX = np.complex128
+_MAX_LIOUVILLE_DIM = 32  # a 1024 x 1024 Liouville matrix (16 MiB); README says why
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -205,7 +206,8 @@ def to_liouville(s: LRSum) -> np.ndarray:
     ``np.kron(b.T, a)`` over ``as_lrsum()``: b^T stays the first operand (complex
     products do not commute bitwise) and signs fold into a as ``as_lrsum()`` folds them.
     An entry beyond the float range comes out infinite (or NaN), without a warning; the
-    caller reports it.
+    caller reports it. A ``dim`` above ``_MAX_LIOUVILLE_DIM`` is an InputError, raised
+    before any buffer is allocated.
 
     The matrix is built on the first call and kept on ``s``; every call returns it
     read-only, so a caller that writes to it works on a copy.
@@ -215,6 +217,8 @@ def to_liouville(s: LRSum) -> np.ndarray:
 
 def _liouville(s: LRSum) -> np.ndarray:
     d = s.dim
+    if d > _MAX_LIOUVILLE_DIM:
+        raise InputError(f"dim {d} exceeds the Liouville size limit {_MAX_LIOUVILLE_DIM}")
     out, buf = np.zeros((d, d, d, d), dtype=_COMPLEX), np.empty((d, d, d, d), dtype=_COMPLEX)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in s.terms:

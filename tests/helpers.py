@@ -11,13 +11,17 @@ test, ``to_liouville_reference`` is the ``np.kron`` loop,
 ``classify_form_reference`` is the form classifier built on
 ``classify_hermitian``, and ``classify_step_reference`` is the "classify"
 step of the decompositions built on it, that the library routines must
-reproduce bit for bit. ``replay_pd_decompose`` rebuilds a ``pd_decompose``
-output from its input and the JSON form of its trace alone. ``positive_oracle``
+reproduce bit for bit. ``replay_pd_decompose``, ``replay_two_sum`` and
+``replay_one_sum`` rebuild a decomposition's output from its input and the JSON
+form of its trace alone. ``exact_pd`` decides a positive definiteness claim in
+exact rational arithmetic. ``positive_oracle``
 decides the stacked PD and PSD verdicts by ``np.linalg.eigvalsh``, and states the
 band around the threshold outside which the library's Cholesky verdicts must agree.
 """
 
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from hsdecomp import (
     vec,
 )
 from hsdecomp.core import _hermitian_units
+from hsdecomp.serialize import canonical_dumps, trace_to_obj
 from hsdecomp.superop import selfadjoint_blocks
 
 COMPLEX = np.complex128
@@ -463,3 +468,112 @@ def positive_oracle(stack, tol=1e-9, strict=True):
         out.append((verdict, margin, delta))
     verdicts, margins, deltas = (np.array(x) for x in zip(*out))
     return verdicts, margins, deltas
+
+
+def wire_trace(trace) -> dict:
+    """The JSON form of a trace, as a report carries it and a reader parses it."""
+    return json.loads(canonical_dumps(trace_to_obj(trace)))
+
+
+def replay_two_sum(terms, trace_obj: dict, until: str | None = None) -> LRSum:
+    """``two_sum_pd(*terms[0], *terms[1])``'s output, rebuilt from the input pairs ``terms``
+    and ``trace_obj``, the JSON form of its trace (``wire_trace``); with ``until`` the two
+    terms as they stand after the first step of that name.
+
+    Every chosen scalar comes from the trace: the "fold_right" betas, the "right_pencil" t,
+    the "fold_left" deltas and the "left_pencil" s. Each factor is the arithmetic
+    ``two_sum_pd`` accepted, redone in its order (an offset search accepts base + t step),
+    so the replay is equal bit for bit. A "one_sum_fallback" step records only the names of
+    its sub-steps, not the alpha it chose, so such a trace cannot be replayed: ValueError.
+    """
+    cur = [tuple(np.asarray(x, dtype=COMPLEX) for x in pair) for pair in terms]
+    for step in trace_obj["steps"]:
+        name, data = step["name"], step["data"]
+        (p1, q1), (p2, q2) = cur
+        if name == "swap":
+            cur.reverse()
+        elif name == "fold_right":
+            beta1, beta2 = complex(*data["beta1"]), complex(*data["beta2"])
+            cur = [(p1 / beta1, beta1 * q1 + beta2 * q2), (p2 - (beta2 / beta1) * p1, q2)]
+        elif name == "right_pencil":
+            t = data["t"]
+            cur = [(p1 + t * p2, q1), (p2, q2 + t * -q1)]
+        elif name == "fold_left":
+            du, dg = data["delta_u"], data["delta_g"]
+            cur = [(p1, q1 - (dg / du) * q2), (du * p2 + dg * p1, q2 / du)]
+        elif name == "left_pencil":
+            s = data["s"]
+            cur = [(p1, q1 + s * q2), (p2 + s * -p1, q2)]
+        elif name == "one_sum_fallback":
+            raise ValueError("a one_sum_fallback step records no alpha: not replayable")
+        if name == until:
+            break
+    return LRSum.from_pairs(cur, len(cur[0][0]))
+
+
+def replay_one_sum(a, b, trace_obj: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``one_sum_positive(a, b)``'s two factors, rebuilt from ``a``, ``b`` and the "rescale"
+    alpha of ``trace_obj``, the JSON form of its trace; equal bit for bit."""
+    rescale = next(step["data"] for step in trace_obj["steps"] if step["name"] == "rescale")
+    alpha = complex(*rescale["alpha"])
+    return alpha * np.asarray(a, dtype=COMPLEX), np.asarray(b, dtype=COMPLEX) / alpha
+
+
+def two_sum_input(rng):
+    """(a1, b1, a2, b2) at d = 2 or 3: PD a1, b1 and b2, and a scaled Hermitian a2, often
+    indefinite, so the left stage runs. Most draws are not positive definite operators."""
+    d = int(rng.integers(2, 4))
+    a1, b1 = random_pd(rng, d), random_pd(rng, d)
+    a2 = rng.uniform(0.05, 1.5) * random_hermitian(rng, d)
+    return a1, b1, a2, random_pd(rng, d)
+
+
+# i such that ``two_sum_input(np.random.default_rng([27, i]))`` is positive definite and its
+# left pencil shrinks the offset: 4, 4, 2, 1, 1 and 3 times
+SHRINKING_LEFT_STAGE_SEEDS = (137, 143, 177, 207, 218, 435)
+
+
+def shrinking_left_stage_inputs() -> list:
+    """The two-sum inputs of ``SHRINKING_LEFT_STAGE_SEEDS``, each as a list of two pairs."""
+    out = []
+    for i in SHRINKING_LEFT_STAGE_SEEDS:
+        a1, b1, a2, b2 = two_sum_input(np.random.default_rng([27, i]))
+        out.append([(a1, b1), (a2, b2)])
+    return out
+
+
+def _bareiss_minors_positive(m: list) -> bool:
+    """Whether every leading principal minor of the integer matrix ``m`` is positive, by
+    fraction-free Bareiss elimination (Math. Comp. 22, 1968): after step k the pivot m[k][k]
+    is the (k+1)-th leading minor, and every division is exact. ``m`` is overwritten."""
+    n, prev = len(m), 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+    return True
+
+
+def exact_pd(t) -> bool:
+    """Whether H = T + T* is positive definite, decided exactly in Python integers.
+
+    Each float entry is read as the exact ``Fraction`` it is, H is embedded as the real
+    symmetric [[Re H, -Im H], [Im H, Re H]] (each eigenvalue of H twice), scaled by one power
+    of two to integers, and Sylvester's criterion is applied: every leading principal minor
+    must be positive. No rounding enters, so a claim within any tolerance of the threshold
+    is decided all the same.
+    """
+    t = np.asarray(t, dtype=COMPLEX)
+    n = t.shape[0]
+    re = [[Fraction(float(t[i, j].real)) + Fraction(float(t[j, i].real)) for j in range(n)]
+          for i in range(n)]
+    im = [[Fraction(float(t[i, j].imag)) - Fraction(float(t[j, i].imag)) for j in range(n)]
+          for i in range(n)]
+    real = [re[i] + [-x for x in im[i]] for i in range(n)]
+    real += [im[i] + re[i] for i in range(n)]
+    scale = max(x.denominator for row in real for x in row)  # a power of two: the others divide it
+    return _bareiss_minors_positive([[int(x * scale) for x in row] for row in real])

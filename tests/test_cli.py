@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsdecomp import LRSum, counterexample_superop, to_liouville
+from hsdecomp import LRSum, counterexample_superop, superop, to_liouville
 from hsdecomp.cli import _COMMANDS, main
 from hsdecomp.serialize import obj_to_operator, operator_to_obj
 from helpers import psd_sum, rel_err
@@ -751,3 +751,34 @@ def test_pd_decompose_where_the_squared_norms_overflow_under_warnings_as_errors(
     out = obj_to_operator(json.loads(code.stdout)["terms_out"]).as_lrsum()
     assert len(out.terms) == 9
     assert rel_err(to_liouville(out) / s, to_liouville(op) / s) <= 1e-9
+
+
+_LIOUVILLE_COMMANDS = ["classify", "liouville", "decompose-basis", "decompose-selfadjoint",
+                       "pd-decompose", "equiv"]
+# the limit + 1, and two dims no buffer could hold; no dim here builds a Liouville matrix
+_OVERSIZE_DIMS = [superop._MAX_LIOUVILLE_DIM + 1, 100000, 10**30]
+
+
+def _empty_sum_input(command, dim) -> str:
+    op = {"dim": dim, "terms": []}
+    return json.dumps({"sum1": op, "sum2": op} if command == "equiv" else op)
+
+
+@pytest.mark.parametrize("dim", _OVERSIZE_DIMS, ids=["limit+1", "1e5", "1e30"])
+@pytest.mark.parametrize("command", _LIOUVILLE_COMMANDS)
+def test_a_dim_above_the_liouville_size_limit_is_input_error(command, dim, capsys, monkeypatch):
+    """A dim whose Liouville matrix is above the size limit is refused before its buffers
+    are allocated: an InputError object (exit 1) and one stderr line, where numpy's
+    "array is too big" or "Maximum allowed dimension exceeded" ended in a traceback."""
+    code, out, err = run_cli([command], _empty_sum_input(command, dim), capsys, monkeypatch)
+    message = f"dim {dim} exceeds the Liouville size limit 32"
+    assert code == 1, err
+    assert json.loads(out)["error"] == {"type": "InputError", "message": message}
+    assert err == f"hsdecomp {command}: error: {message}\n"
+
+
+@pytest.mark.parametrize("dim", _OVERSIZE_DIMS, ids=["limit+1", "1e5", "1e30"])
+@pytest.mark.parametrize("command", ["reduce", "adjoint"])
+def test_commands_without_a_liouville_matrix_take_any_dim(command, dim, capsys, monkeypatch):
+    rep = run_json([command], capsys, monkeypatch, stdin_text=_empty_sum_input(command, dim))
+    assert rep["terms_out"] == {"dim": dim, "terms": []}

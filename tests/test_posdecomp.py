@@ -23,6 +23,7 @@ from hsdecomp import (
     find_zeta_certificate,
     from_liouville,
     frob_inner,
+    frob_norm,
     hermitian_unit,
     identity_superop,
     matrix_unit,
@@ -45,6 +46,7 @@ from hsdecomp.posdecomp import (
 from hsdecomp.serialize import canonical_dumps, trace_to_obj
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
+    SHRINKING_LEFT_STAGE_SEEDS,
     classify_step_reference,
     counterexample_form_oracle,
     counterexample_liouville_oracle,
@@ -61,8 +63,13 @@ from helpers import (
     random_psd,
     random_unitary,
     rel_err,
+    exact_pd,
+    replay_one_sum,
     replay_pd_decompose,
+    replay_two_sum,
+    shrinking_left_stage_inputs,
     stacked_kernel_trivial,
+    wire_trace,
     zeta_check_reference,
 )
 
@@ -118,6 +125,29 @@ def test_one_sum_rejects_indefinite():
 def test_one_sum_rejects_zero():
     with pytest.raises(NotPositiveError):
         one_sum_positive(np.zeros((2, 2)), I2)
+
+
+def test_one_sum_zero_test_reads_the_stored_norm_pass(monkeypatch):
+    """The zero test ||L||_F <= tol reads the norm that the classify step's rule pass stored
+    on the operator: one norm pass of the Liouville matrix, and no frob_norm of it."""
+    shapes = []
+    frob = posdecomp.frob_norm
+    monkeypatch.setattr(posdecomp, "frob_norm", lambda x: shapes.append(np.shape(x)) or frob(x))
+    passes = count_calls(monkeypatch, [(superop, "_rule_norms")])
+    rng = np.random.default_rng(39)
+    one_sum_positive(random_pd(rng, 3), random_pd(rng, 3))
+    assert passes == {"_rule_norms": 1}
+    assert (9, 9) not in shapes
+
+
+def test_stored_rule_norm_is_the_frob_norm_of_the_liouville_matrix_bitwise():
+    rng = np.random.default_rng(41)
+    for d in range(1, 5):
+        for scale in (1e-200, 1e-9, 1.0, 1e150):
+            s = LRSum.from_pairs([(scale * random_matrix(rng, d), random_matrix(rng, d))])
+            for op in (s, superop.transpose_dual(s)):
+                norm = superop._liouville_rule_norms(op, 1e-9)[0][0]
+                assert norm.tobytes() == np.float64(frob_norm(to_liouville(op))).tobytes()
 
 
 # ---------------------------------------------------------------- two_sum
@@ -231,70 +261,70 @@ def test_two_sum_left_factor_vanished_falls_back():
 
 
 def test_shrink_offset_accepts_a_pair_and_stalls_at_the_floor(monkeypatch):
-    x, y = 2.0 * I2, I2
-    t, eps, shrinks, pair, lam = _shrink_offset(1.0, x, y, lambda t_: I2 - t_ * y, 1e-9,
-                                                _Tracer(), "right_pencil")
+    base, step = np.stack([2.0 * I2, I2]), np.stack([-I2, -I2])
+    t, eps, shrinks, stack = _shrink_offset(1.0, base, step, 1e-9, _Tracer(), "right_pencil")
     assert (t, eps, shrinks) == (0.875, 0.125, 0)
-    assert np.array_equal(pair, np.stack([x - t * y, I2 - t * y]))
-    assert lam.tolist() == [1.125, 0.125]
-    # a companion that is never positive definite: one stacked eigh per try, 38 tries from
-    # eps = 2^-3 down to 2^-40, then the floor
-    counts = count_linalg(monkeypatch, "eigh")
+    assert np.array_equal(stack, np.stack([2.0 * I2 - t * I2, I2 - t * I2]))
+    # a second matrix that is never positive definite: one _positive call per try, 38 tries
+    # from eps = 2^-3 down to 2^-40, then the floor; each failing try factors the stack and
+    # then each of its two matrices alone, and no try makes an eigensolve
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
     tracer = _Tracer()
     tracer.add("before")
     with pytest.raises(NoProgressError, match=r"^right_pencil: offset search below floor") as info:
-        _shrink_offset(1.0, x, y, lambda t_: -I2, 1e-9, tracer, "right_pencil")
-    assert counts["eigh"] == 38
+        _shrink_offset(1.0, np.stack([2.0 * I2, -I2]), np.stack([-I2, 0 * I2]), 1e-9, tracer,
+                       "right_pencil")
+    assert counts == {"eigh": 0, "cholesky": 3 * 38}
     steps = info.value.trace.steps
     assert [s.name for s in steps] == ["before", "right_pencil"]
     assert steps[-1].data == {"t0": 1.0, "eps": 2.0**-41, "shrinks": 38, "failed": True}
 
 
-def replay_two_sum(terms, trace) -> dict:
-    """The two terms after each step of a ``two_sum_pd`` trace, replayed with its recorded
-    scalars only, keyed by step name."""
-    cur = [tuple(terms[0]), tuple(terms[1])]
-    states = {}
-    for step in trace.steps:
-        if step.name == "swap":
-            cur.reverse()
-        elif step.name == "fold_right":
-            (p1, q1), (p2, q2) = cur
-            be1, be2 = step.data["beta1"], step.data["beta2"]
-            g0 = step.data["g0"]
-            assert complex(g0.conj() @ p1 @ g0) == pytest.approx(be1, abs=1e-10)
-            cur = [(p1 / be1, be1 * q1 + be2 * q2), (p2 - (be2 / be1) * p1, q2)]
-        elif step.name == "right_pencil" and "t" in step.data:
-            (p1, q1), (p2, q2) = cur
-            t = step.data["t"]
-            cur = [(p1 + t * p2, q1), (p2, q2 - t * q1)]
-        elif step.name == "fold_left":
-            (p1, q1), (p2, q2) = cur
-            du, dg = step.data["delta_u"], step.data["delta_g"]
-            combined = du * p2 + dg * p1
-            cur = [(p1, q1 - (dg / du) * q2), (combined, q2 / du)]
-        elif step.name == "left_pencil" and "s" in step.data:
-            (p1, q1), (p2, q2) = cur
-            s = step.data["s"]
-            cur = [(p1, q1 + s * q2), (p2 - s * p1, q2)]
-        states[step.name] = cur
-    return states
+def two_sum_corpus():
+    """(label, terms): ten scrambled PD pairs at d = 3, and the inputs whose left pencil
+    shrinks its offset."""
+    rng = np.random.default_rng(35)
+    for i in range(10):
+        a1, b1, a2, b2 = (random_pd(rng, 3) for _ in range(4))
+        yield f"scrambled-{i}", [(a1 * -2.0, b1 / -2.0), (a2, b2)]
+    for seed, terms in zip(SHRINKING_LEFT_STAGE_SEEDS, shrinking_left_stage_inputs()):
+        yield f"shrinking-left-{seed}", terms
 
 
 def test_two_sum_trace_replay():
-    rng = np.random.default_rng(35)
-    for _ in range(10):
-        d = 3
-        a1, b1, a2, b2 = (random_pd(rng, d) for _ in range(4))
-        c = -2.0
-        terms = [(a1 * c, b1 / c), (a2, b2)]
-        signed, trace = two_sum_pd(terms[0][0], terms[0][1], terms[1][0], terms[1][1])
-        if trace.has("one_sum_fallback"):
-            continue
-        cur = replay_two_sum(terms, trace)[trace.steps[-1].name]
-        for replayed, produced in zip(cur, signed.terms):
-            np.testing.assert_allclose(replayed[0], produced.a, atol=1e-10)
-            np.testing.assert_allclose(replayed[1], produced.b, atol=1e-10)
+    """The input pairs and the trace after a JSON round trip determine the output exactly,
+    and one ulp off the traced t gives another output."""
+    for label, terms in two_sum_corpus():
+        signed, trace = two_sum_pd(*terms[0], *terms[1])
+        trace_obj = wire_trace(trace)
+        assert replay_two_sum(terms, trace_obj) == signed, label
+        if label.startswith("shrinking"):
+            assert trace.step("left_pencil").data["shrinks"] > 0, label
+        pencil = next(s["data"] for s in trace_obj["steps"] if s["name"] == "right_pencil")
+        pencil["t"] = float(np.nextafter(pencil["t"], 1.0))
+        assert replay_two_sum(terms, trace_obj) != signed, label
+
+
+def test_two_sum_one_sum_fallback_is_not_replayable_from_its_trace():
+    """The one_sum_fallback step records the names of its sub-steps, not the alpha its
+    rescaling chose, so its output cannot be rebuilt from the trace."""
+    terms = [(np.zeros((2, 2)), -I2), (I2, I2)]
+    _, trace = two_sum_pd(*terms[0], *terms[1])
+    trace_obj = wire_trace(trace)
+    assert trace_obj["steps"][-1] == {"name": "one_sum_fallback", "data": {
+        "note": "left factor vanished", "sub_steps": ["classify", "rescale"]}}
+    with pytest.raises(ValueError, match="records no alpha"):
+        replay_two_sum(terms, trace_obj)
+
+
+def test_one_sum_replays_from_its_json_trace():
+    rng = np.random.default_rng(36)
+    for kind in ("real", "complex", "mirror"):
+        for _ in range(5):
+            terms = scrambled_pairs(rng, int(rng.integers(1, 5)), kind)
+            a_hat, b_hat, trace = one_sum_positive(*terms[0])
+            a_re, b_re = replay_one_sum(*terms[0], wire_trace(trace))
+            assert (a_re.tobytes(), b_re.tobytes()) == (a_hat.tobytes(), b_hat.tobytes())
 
 
 @pytest.mark.parametrize("s", [
@@ -317,6 +347,44 @@ def test_pd_decompose_replays_from_its_json_trace(s):
     assert replay_pd_decompose(s, trace_obj) != signed
 
 
+@pytest.mark.parametrize("t, pd", [
+    (I2, True),
+    (np.diag([1.0, 5e-324]), True),  # a subnormal eigenvalue: below every tol, exactly PD
+    (-I2, False),
+    (np.diag([1.0, 0.0]), False),
+    (np.ones((2, 2)), False),
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), False),  # T + T* = [[2, 2], [2, 2]]
+], ids=["identity", "subnormal", "minus-identity", "diag-1-0", "ones", "shear"])
+def test_exact_pd_decides_each_cell(t, pd):
+    assert exact_pd(t) is pd
+
+
+def pd_decompose_claims(signed):
+    """The factors pd_decompose claims positive definite: a_1, a_2 and every right factor."""
+    return [signed.terms[0].a, signed.terms[1].a, *(t.b for t in signed.terms)]
+
+
+@pytest.mark.parametrize("s", [
+    *(pytest.param(psd_sum(np.random.default_rng(60 + d), d, d * d), id=f"psd-d{d}")
+      for d in (2, 3, 4)),
+    *(pytest.param(counterexample_superop(t), id=f"counterexample-{t}")
+      for t in (0.25, 1e-4, 1e-6)),
+    *(pytest.param(psd_sum(np.random.default_rng(seed), 8, 64), id=f"psd-d8-{seed}")
+      for seed in (0, 1)),
+])
+def test_every_pd_claim_of_pd_decompose_is_exactly_pd(s):
+    signed, _ = pd_decompose(s)
+    claims = pd_decompose_claims(signed)
+    assert len(claims) == len(signed.terms) + 2
+    assert all(exact_pd(x) for x in claims)
+
+
+def test_every_right_factor_of_two_sum_is_exactly_pd():
+    for label, terms in two_sum_corpus():
+        signed, _ = two_sum_pd(*terms[0], *terms[1])
+        assert all(exact_pd(t.b) for t in signed.terms), label
+
+
 def test_two_sum_left_stage_folds_on_the_hermitian_part_of_the_offset_factor():
     """At tol 1e-3 a right factor may carry a skew part of 1e-4: the left stage's f0 is the
     top eigenvector of the Hermitian part of b_2 - t b_1, which eigh alone (one triangle)
@@ -327,7 +395,7 @@ def test_two_sum_left_stage_folds_on_the_hermitian_part_of_the_offset_factor():
     _, trace = two_sum_pd(*terms[0], *terms[1], tol=1e-3)
     assert [s.name for s in trace.steps] == ["classify", "right_pencil", "fold_left",
                                             "left_pencil"]
-    offset_b = replay_two_sum(terms, trace)["right_pencil"][1][1]
+    offset_b = replay_two_sum(terms, wire_trace(trace), until="right_pencil").terms[1].b
     top = np.linalg.eigh(core.hermitian_part(offset_b))[1][:, -1]
     assert trace.step("fold_left").data["f0"].tobytes() == top.tobytes()
 
@@ -362,7 +430,8 @@ def test_trace_lambda_min_fields_match_classify_bitwise(kind):
 
         signed, trace = two_sum_pd(*terms[0], *terms[1])
         data = trace.step("right_pencil").data
-        (combined_a, _), (_, offset_b) = replay_two_sum(terms, trace)["right_pencil"]
+        after = replay_two_sum(terms, wire_trace(trace), until="right_pencil")
+        combined_a, offset_b = after.terms[0].a, after.terms[1].b
         assert combined_a.tobytes() == signed.terms[0].a.tobytes()
         assert same_bits(data["lambda_min_combined_a"], classify_hermitian(combined_a).lambda_min)
         assert same_bits(data["lambda_min_offset_b"], classify_hermitian(offset_b).lambda_min)
@@ -945,24 +1014,25 @@ def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
 def test_pd_decompose_work_counts(monkeypatch, d):
     """Counts, not wall time: the eigh and cholesky calls of pd_decompose do not grow
     with the d^2 basis pairs. One eigh classifies the input, one solves the diagonal
-    pencil, each offset try makes one (a stacked check of the pair), and the margin and
-    lift stages make one each for beta, alpha and lambda (a pencil solve). The four
-    pencil solves each factor their base by cholesky, and the three stages decide their
-    stacked check by one cholesky each, when no first candidate needs growing."""
+    pencil, and the margin and lift stages make one each for beta, alpha and lambda (a
+    pencil solve). The four pencil solves each factor their base by cholesky, the three
+    stages decide their stacked check by one cholesky each, when no first candidate needs
+    growing, and the offset search decides its accepted pair by one cholesky and each
+    rejected pair by three (the stack, then each matrix alone)."""
     s = psd_sum(np.random.default_rng(48), d, d * d)
     counts = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky")
     signed, trace = pd_decompose(s)
     made = dict(counts)
     check_pd_output(signed, to_liouville(s))
     shrinks = trace.step("diag_pencil").data["shrinks"]
-    assert made == {"eigh": 6 + shrinks, "eigvalsh": 0, "cholesky": 4 + 3}
+    assert made == {"eigh": 5, "eigvalsh": 0, "cholesky": 4 + 3 + 1 + 3 * shrinks}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_pipeline_builds_the_liouville_matrix_once(monkeypatch, d):
     """Counts: on one LRSum, classify_superop, selfadjoint_decompose and pd_decompose share
     one Liouville matrix, and pd_decompose classifies from the spectrum classify_superop
-    stored, one eigh fewer than the 6 + shrinks of a fresh sum."""
+    stored, one eigh fewer than the 5 of a fresh sum."""
     s = psd_sum(np.random.default_rng(48), d, d * d)
     built = liouville_builds(monkeypatch, (superop, posdecomp))
     classify_superop(s)
@@ -970,8 +1040,8 @@ def test_pipeline_builds_the_liouville_matrix_once(monkeypatch, d):
     counts = count_linalg(monkeypatch, "eigh", "eigvalsh", "cholesky")
     _, trace = pd_decompose(s)
     assert len(built) == 1
-    assert counts == {"eigh": 5 + trace.step("diag_pencil").data["shrinks"], "eigvalsh": 0,
-                      "cholesky": 4 + 3}
+    assert counts == {"eigh": 4, "eigvalsh": 0,
+                      "cholesky": 4 + 3 + 1 + 3 * trace.step("diag_pencil").data["shrinks"]}
 
 
 def test_decompositions_classify_without_classify_hermitian(monkeypatch):

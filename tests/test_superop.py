@@ -25,7 +25,7 @@ from hsdecomp import (
     vec,
 )
 from hsdecomp.posdecomp import counterexample_superop, diag_blocks, pd_decompose
-from hsdecomp.superop import _independent_subset
+from hsdecomp.superop import _MAX_LIOUVILLE_DIM, _independent_subset
 from helpers import (
     count_linalg,
     independent_subset_reference,
@@ -140,6 +140,17 @@ def test_to_liouville_matches_kron_reference_bitwise():
         count += 1
     assert count == 8 * (5 * 4 + 1) + 3 + 4
     assert negative_zero_products > 0
+
+
+def test_to_liouville_refuses_a_dim_above_the_size_limit():
+    """The check comes before the two d^4 buffers: at 10^30 numpy could not allocate them."""
+    assert _MAX_LIOUVILLE_DIM == 32
+    for dim in (33, 100000, 10**30):
+        s = LRSum(dim, ())
+        with pytest.raises(InputError, match=rf"^dim {dim} exceeds the Liouville size limit 32$"):
+            to_liouville(s)
+        assert not s._derived
+    assert to_liouville(identity_superop(8)).shape == (64, 64)
 
 
 def test_to_liouville_makes_no_kron_call(monkeypatch):
