@@ -483,7 +483,8 @@ def replay_two_sum(terms, trace_obj: dict, until: str | None = None) -> LRSum:
     Every chosen scalar comes from the trace: the "fold_right" betas, the "right_pencil" t,
     the "fold_left" deltas and the "left_pencil" s. Each factor is the arithmetic
     ``two_sum_pd`` accepted, redone in its order (an offset search accepts base + t step),
-    so the replay is equal bit for bit. A "one_sum_fallback" step records only the names of
+    so the replay is equal bit for bit. Each "fold_right" g0 is checked against its beta1:
+    g0* p1 g0 = beta1 to 1e-10 max(1, ||p1||_F). A "one_sum_fallback" step records only the names of
     its sub-steps, not the alpha it chose, so such a trace cannot be replayed: ValueError.
     """
     cur = [tuple(np.asarray(x, dtype=COMPLEX) for x in pair) for pair in terms]
@@ -494,6 +495,8 @@ def replay_two_sum(terms, trace_obj: dict, until: str | None = None) -> LRSum:
             cur.reverse()
         elif name == "fold_right":
             beta1, beta2 = complex(*data["beta1"]), complex(*data["beta2"])
+            g0 = np.array([complex(*v) for v in data["g0"]])
+            assert abs(complex(g0.conj() @ p1 @ g0) - beta1) <= 1e-10 * max(1.0, _norm(p1))
             cur = [(p1 / beta1, beta1 * q1 + beta2 * q2), (p2 - (beta2 / beta1) * p1, q2)]
         elif name == "right_pencil":
             t = data["t"]

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from hsdecomp.posdecomp import (
     _Tracer, _factor_stacks, _grow_margins, _nonvanishing_vector, _shrink_offset,
     _zeta_conditions,
 )
-from hsdecomp.serialize import canonical_dumps, trace_to_obj
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
     SHRINKING_LEFT_STAGE_SEEDS,
@@ -293,11 +291,18 @@ def two_sum_corpus():
 
 def test_two_sum_trace_replay():
     """The input pairs and the trace after a JSON round trip determine the output exactly,
-    and one ulp off the traced t gives another output."""
+    each traced g0 gives its beta1, and one ulp off the traced t gives another output."""
     for label, terms in two_sum_corpus():
         signed, trace = two_sum_pd(*terms[0], *terms[1])
         trace_obj = wire_trace(trace)
         assert replay_two_sum(terms, trace_obj) == signed, label
+        if label.startswith("scrambled"):  # b1 is negative definite, so the right stage folds
+            fold = next(s["data"] for s in trace_obj["steps"] if s["name"] == "fold_right")
+            g0 = fold["g0"]
+            fold["g0"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (len(g0) - 1)
+            with pytest.raises(AssertionError):
+                replay_two_sum(terms, trace_obj)
+            fold["g0"] = g0
         if label.startswith("shrinking"):
             assert trace.step("left_pencil").data["shrinks"] > 0, label
         pencil = next(s["data"] for s in trace_obj["steps"] if s["name"] == "right_pencil")
@@ -340,7 +345,7 @@ def test_pd_decompose_replays_from_its_json_trace(s):
     the replay reads every chosen scalar from the wire form, and one ulp off the traced t
     gives another output."""
     signed, trace = pd_decompose(s)
-    trace_obj = json.loads(canonical_dumps(trace_to_obj(trace)))
+    trace_obj = wire_trace(trace)
     assert replay_pd_decompose(s, trace_obj) == signed
     pencil = next(step["data"] for step in trace_obj["steps"] if step["name"] == "diag_pencil")
     pencil["t"] = float(np.nextafter(pencil["t"], 1.0))
