@@ -518,26 +518,26 @@ def pd_decompose(s: LRSum, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompositi
     return LRSum(d, tuple(out)), tracer.freeze()
 
 
-def _check_zeta_shape(decomp: LRSum, n_zetas: int) -> None:
-    """Raise InputError unless ``decomp`` is a negative term followed by ``n_zetas`` > 0 others."""
+_RAY_END = 54  # 1 - 2^-k rounds to 1.0 from k = 54 on, so the ray has no later distinct point
+
+
+def _zeta_parts(decomp: LRSum, n_zetas: int) -> tuple[LRTerm, np.ndarray, np.ndarray]:
+    """The negative leading term of ``decomp`` and the stacks of the left and the right factors
+    of the others. Raises InputError unless ``decomp`` is a negative term followed by
+    ``n_zetas`` > 0 others."""
     if not decomp.terms:
         raise InputError("decomposition has no terms")
     if not decomp.has_negative:
         raise InputError("decomposition must have a negative leading term")
-    expected = len(decomp.terms) - 1
-    if n_zetas != expected:
+    lead, *rest = decomp.terms
+    if n_zetas != len(rest):
         raise InputError(
             f"certificate length {n_zetas} does not match "
-            f"{expected} non-negative terms"
+            f"{len(rest)} non-negative terms"
         )
-    if not expected:
+    if not rest:
         raise InputError("decomposition has only its negative term, no non-negative terms")
-
-
-def _factor_stacks(decomp: LRSum) -> tuple[np.ndarray, np.ndarray]:
-    """The left and the right factors of the non-negative terms, each as a stack."""
-    rest = decomp.terms[1:]
-    return np.stack([t.a for t in rest]), np.stack([t.b for t in rest])
+    return lead, np.stack([t.a for t in rest]), np.stack([t.b for t in rest])
 
 
 def _zeta_rewrite(lead: LRTerm, a_n, b_n, zetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -550,25 +550,28 @@ def _zeta_rewrite(lead: LRTerm, a_n, b_n, zetas: np.ndarray) -> tuple[np.ndarray
 def _zeta_conditions(
     lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, zetas: np.ndarray, tol: float,
     a_first: bool = False,
-) -> tuple[bool, np.ndarray | None, float]:
-    """The two certificate conditions at ``zetas``: (ok, b_margins, a_margin).
+) -> tuple[ZetaCheckResult, tuple[np.ndarray, np.ndarray]]:
+    """The two certificate conditions at ``zetas`` and the rewritten factors they were
+    checked on, (combined, b_diffs) of ``_zeta_rewrite``.
 
     ``a_n`` and ``b_n`` stack the factors of the non-negative terms.
     b_margins holds the lambda_min of each b_n - zeta_n b_1, from one
     stacked classifier call; a_margin that of -a_1 + sum zeta_n a_n, summed
     in term order. With ``a_first`` the b-conditions are classified only
-    when the a-condition holds (b_margins is None otherwise); a non-finite
+    when the a-condition holds (b_margins is empty otherwise); a non-finite
     b_n - zeta_n b_1 raises InputError either way.
     """
-    combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below refuse non-finite sums
+        rewritten = combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
     if not np.isfinite(b_diffs).all():
         raise InputError("T: entries must be finite")
     (a_margin,), (a_threshold,) = _lambda_min_stack(combined[None], tol)
     a_ok = bool(a_margin >= -a_threshold)
     if a_first and not a_ok:
-        return False, None, float(a_margin)
+        return ZetaCheckResult(False, (), float(a_margin)), rewritten
     b_margins, b_thresholds = _lambda_min_stack(b_diffs, tol)
-    return a_ok and bool(np.all(b_margins > b_thresholds)), b_margins, float(a_margin)
+    ok = a_ok and bool(np.all(b_margins > b_thresholds))
+    return ZetaCheckResult(ok, tuple(b_margins.tolist()), float(a_margin)), rewritten
 
 
 def zeta_check(
@@ -579,11 +582,8 @@ def zeta_check(
     Valid iff every b_n - zeta_n b_1 (n >= 2) is positive definite and
     -a_1 + sum_n zeta_n a_n is positive semidefinite, all at ``tol``.
     """
-    _check_zeta_shape(decomp, len(certificate.zetas))
-    ok, b_margins, a_margin = _zeta_conditions(
-        decomp.terms[0], *_factor_stacks(decomp), np.array(certificate.zetas), tol
-    )
-    return ZetaCheckResult(ok, tuple(float(x) for x in b_margins), a_margin)
+    zetas = certificate.zetas
+    return _zeta_conditions(*_zeta_parts(decomp, len(zetas)), np.array(zetas), tol)[0]
 
 
 def zeta_transform(
@@ -592,27 +592,26 @@ def zeta_transform(
     """Rewrite a certified negative-leading decomposition with no negative term.
 
     The leading term is replaced by (-a_1 + sum zeta_n a_n, b_1) and each
-    remaining pair (a_n, b_n) by (a_n, b_n - zeta_n b_1); the Liouville
-    matrix is unchanged identically.
+    remaining pair (a_n, b_n) by (a_n, b_n - zeta_n b_1). The Liouville matrix is
+    unchanged in exact arithmetic only: the rounding of those sums moves it, by an exact
+    residual that ``test_zeta_transform_claims_hold_exactly`` bounds by c rho u.
     """
-    result = zeta_check(decomp, certificate, tol)
+    zetas = certificate.zetas
+    lead, a_n, b_n = _zeta_parts(decomp, len(zetas))
+    result, (combined, b_diffs) = _zeta_conditions(lead, a_n, b_n, np.array(zetas), tol)
     if not result.ok:
         raise CertificateInvalidError("zeta certificate failed validation", report=result)
-    lead = decomp.terms[0]
-    a_n, b_n = _factor_stacks(decomp)
-    combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, np.array(certificate.zetas))
     return LRSum.from_pairs([(combined, lead.b), *zip(a_n, b_diffs)], decomp.dim)
 
 
 def _misses_at_ray_limit(lead: LRTerm, a_n: np.ndarray, b_n: np.ndarray, bounds: np.ndarray,
-                         max_halvings: int, tol: float) -> bool:
-    """Whether the a-condition fails at every zeta = (1 - 2^-k) bounds, k <= max_halvings.
+                         zetas: np.ndarray, tol: float) -> bool:
+    """Whether the a-condition fails at every zeta = (1 - 2^-k) bounds up to the last, ``zetas``.
 
     The argument and the slack are given in ``find_zeta_certificate``. False (undecided) when
     the limit margin is NaN or within the slack, or when a matrix at the limit is not finite
     or has a norm beyond the float range; then the walk runs and raises any InputError it would.
     """
-    zetas = (1.0 - 2.0**-max_halvings) * bounds
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are tested below
         combined, b_diffs = _zeta_rewrite(lead, a_n, b_n, zetas)
         ray_sum = (bounds[:, None, None] * a_n).sum(axis=0)
@@ -639,6 +638,8 @@ def find_zeta_certificate(
     that bound for k = 1..max_halvings and returns the first certificate
     that validates, or None. Failure along this ray means the search
     family is exhausted; it does not prove that no certificate exists.
+    In floats 1 - 2^-k is 1.0 from k = 54 on, so the walk visits at most 54
+    distinct points and ends at k = min(max_halvings, 54).
 
     All bounds come from one shared-base pencil solve against b_1. At each
     k the a-condition (one d x d matrix) is tested first and the stacked
@@ -674,23 +675,21 @@ def find_zeta_certificate(
     """
     if not _is_integer(max_halvings) or max_halvings < 1:
         raise InputError(f"max_halvings must be an integer of at least 1, got {max_halvings!r}")
-    _check_zeta_shape(decomp, len(decomp.terms) - 1)
-    lead = decomp.terms[0]
+    lead, a_n, b_n = _zeta_parts(decomp, len(decomp.terms) - 1)
     if not _positive(lead.b[None], tol)[0]:
         return None
-    a_n, b_n = _factor_stacks(decomp)
     bounds = []
     for bound in _pencil_minima(b_n, lead.b):
         if not bound > 0:
             return None
         bounds.append(bound)
     bounds = np.array(bounds)
-    if _misses_at_ray_limit(lead, a_n, b_n, bounds, max_halvings, tol):
+    ray = (1.0 - 0.5 ** np.arange(1, min(max_halvings, _RAY_END) + 1))[:, None] * bounds
+    if _misses_at_ray_limit(lead, a_n, b_n, bounds, ray[-1], tol):
         return None
-    for k in range(1, max_halvings + 1):
-        candidate = ZetaCertificate(tuple((1.0 - 2.0**-k) * bounds))
-        if _zeta_conditions(lead, a_n, b_n, np.array(candidate.zetas), tol, a_first=True)[0]:
-            return candidate
+    for zetas in ray:
+        if _zeta_conditions(lead, a_n, b_n, zetas, tol, a_first=True)[0].ok:
+            return ZetaCertificate(tuple(zetas))
     return None
 
 

@@ -13,8 +13,9 @@ test, ``to_liouville_reference`` is the ``np.kron`` loop,
 step of the decompositions built on it, that the library routines must
 reproduce bit for bit. ``replay_pd_decompose``, ``replay_two_sum`` and
 ``replay_one_sum`` rebuild a decomposition's output from its input and the JSON
-form of its trace alone. ``exact_pd`` decides a positive definiteness claim in
-exact rational arithmetic. ``positive_oracle``
+form of its trace alone. ``exact_pd`` and ``exact_psd`` decide a positive definite
+and a semidefinite claim in exact rational arithmetic, and ``exact_residual`` measures
+how far a rewrite moved the Liouville matrix, exactly, rounded once. ``positive_oracle``
 decides the stacked PD and PSD verdicts by ``np.linalg.eigvalsh``, and states the
 band around the threshold outside which the library's Cholesky verdicts must agree.
 """
@@ -545,38 +546,78 @@ def shrinking_left_stage_inputs() -> list:
     return out
 
 
-def _bareiss_minors_positive(m: list) -> bool:
-    """Whether every leading principal minor of the integer matrix ``m`` is positive, by
-    fraction-free Bareiss elimination (Math. Comp. 22, 1968): after step k the pivot m[k][k]
-    is the (k+1)-th leading minor, and every division is exact. ``m`` is overwritten."""
-    n, prev = len(m), 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return True
-
-
-def exact_pd(t) -> bool:
-    """Whether H = T + T* is positive definite, decided exactly in Python integers.
-
-    Each float entry is read as the exact ``Fraction`` it is, H is embedded as the real
-    symmetric [[Re H, -Im H], [Im H, Re H]] (each eigenvalue of H twice), scaled by one power
-    of two to integers, and Sylvester's criterion is applied: every leading principal minor
-    must be positive. No rounding enters, so a claim within any tolerance of the threshold
-    is decided all the same.
-    """
+def _exact_embedding(t) -> list:
+    """H = T + T* as the real symmetric [[Re H, -Im H], [Im H, Re H]] (each eigenvalue of H
+    twice), read exactly and scaled by one power of two to Python integers."""
     t = np.asarray(t, dtype=COMPLEX)
     n = t.shape[0]
     re = [[Fraction(float(t[i, j].real)) + Fraction(float(t[j, i].real)) for j in range(n)]
           for i in range(n)]
     im = [[Fraction(float(t[i, j].imag)) - Fraction(float(t[j, i].imag)) for j in range(n)]
           for i in range(n)]
-    real = [re[i] + [-x for x in im[i]] for i in range(n)]
-    real += [im[i] + re[i] for i in range(n)]
+    real = [re[i] + [-x for x in im[i]] for i in range(n)] + [im[i] + re[i] for i in range(n)]
     scale = max(x.denominator for row in real for x in row)  # a power of two: the others divide it
-    return _bareiss_minors_positive([[int(x * scale) for x in row] for row in real])
+    return [[int(x * scale) for x in row] for row in real]
+
+
+def _first_nonpositive_pivot(t) -> tuple[int, list]:
+    """Symmetric fraction-free Bareiss elimination (Math. Comp. 22, 1968) of the exact
+    embedding of H = T + T*, pivoting on the largest remaining diagonal entry: the first pivot
+    that is not positive and the remainder it heads, or (1, []) when every pivot is positive.
+
+    Each entry of the remainder is the Schur complement's times the last pivot, a leading
+    principal minor of the permuted matrix, so every division is exact and a pivot's sign is
+    its Schur complement's (Sylvester's criterion on that permutation).
+    """
+    m, prev = _exact_embedding(t), 1
+    while m:
+        k = max(range(len(m)), key=lambda i: m[i][i])
+        pivot, row = m[k][k], m[k]
+        if pivot <= 0:
+            return pivot, m
+        m = [[(x * pivot - r[k] * row[j]) // prev for j, x in enumerate(r) if j != k]
+             for i, r in enumerate(m) if i != k]
+        prev = pivot
+    return 1, []
+
+
+def exact_pd(t) -> bool:
+    """Whether H = T + T* is positive definite, decided exactly in Python integers: every
+    pivot of ``_first_nonpositive_pivot`` is positive. No rounding enters, so a claim within
+    any tolerance of the threshold is decided all the same."""
+    return _first_nonpositive_pivot(t)[0] > 0
+
+
+def exact_psd(t) -> bool:
+    """Whether H = T + T* is positive semidefinite, decided exactly in Python integers: no
+    pivot is negative, and a zero pivot, the largest remaining diagonal entry, heads a
+    remainder that is all zero (a PSD matrix whose diagonal is at most zero is zero)."""
+    pivot, rest = _first_nonpositive_pivot(t)
+    return pivot > 0 or (pivot == 0 and not any(map(any, rest)))
+
+
+def _exact_liouville(terms, d: int) -> dict:
+    """sum_n sign_n b_n^T kron a_n over ``terms`` of dimension ``d``, the Liouville matrix of
+    their sum, as {(row, col): (re, im)} of exact ``Fraction``s; entry (i d + k, j d + l) is
+    the sum of sign b[j, i] a[k, l]."""
+    out = dict.fromkeys(np.ndindex(d * d, d * d), (0, 0))
+    for term in terms:
+        a, b = ([[(Fraction(float(x.real)), Fraction(float(x.imag))) for x in row] for row in m]
+                for m in (term.a, term.b))
+        for i, j, k, l in np.ndindex(d, d, d, d):
+            (br, bi), (ar, ai) = b[j][i], a[k][l]
+            re, im = out[i * d + k, j * d + l]
+            out[i * d + k, j * d + l] = (re + term.sign * (br * ar - bi * ai),
+                                         im + term.sign * (br * ai + bi * ar))
+    return out
+
+
+def exact_residual(s: LRSum, out: LRSum) -> float:
+    """max |L(out) - L(s)| / max |L(s)| of the exact Liouville matrices, rounded once to a
+    float; |z| of an entry is max(|Re z|, |Im z|), so that the ratio stays rational."""
+    def size(entries: dict) -> Fraction:
+        return max(max(abs(re), abs(im)) for re, im in entries.values())
+
+    flipped = [LRTerm(t.a, t.b, -t.sign) for t in s.terms]
+    return float(size(_exact_liouville([*out.terms, *flipped], s.dim))
+                 / size(_exact_liouville(s.terms, s.dim)))

@@ -4,6 +4,7 @@ import pytest
 
 from hsdecomp import (
     CertificateInvalidError,
+    DegenerateFactorError,
     InputError,
     LRSum,
     NoProgressError,
@@ -39,8 +40,8 @@ from hsdecomp import (
 from hsdecomp import core, pencil, posdecomp, superop
 from hsdecomp.pencil import _hermitian_extremes, _pencil_minima
 from hsdecomp.posdecomp import (
-    _Tracer, _factor_stacks, _grow_margins, _nonvanishing_vector, _shrink_offset,
-    _zeta_conditions,
+    _Tracer, _grow_margins, _nonvanishing_vector, _shrink_offset,
+    _zeta_conditions, _zeta_parts,
 )
 from hsdecomp.superop import selfadjoint_blocks
 from helpers import (
@@ -62,6 +63,8 @@ from helpers import (
     random_unitary,
     rel_err,
     exact_pd,
+    exact_psd,
+    exact_residual,
     replay_one_sum,
     replay_pd_decompose,
     replay_two_sum,
@@ -369,14 +372,17 @@ def pd_decompose_claims(signed):
     return [signed.terms[0].a, signed.terms[1].a, *(t.b for t in signed.terms)]
 
 
-@pytest.mark.parametrize("s", [
+EXACT_CLAIM_CORPUS = [
     *(pytest.param(psd_sum(np.random.default_rng(60 + d), d, d * d), id=f"psd-d{d}")
       for d in (2, 3, 4)),
     *(pytest.param(counterexample_superop(t), id=f"counterexample-{t}")
       for t in (0.25, 1e-4, 1e-6)),
     *(pytest.param(psd_sum(np.random.default_rng(seed), 8, 64), id=f"psd-d8-{seed}")
       for seed in (0, 1)),
-])
+]
+
+
+@pytest.mark.parametrize("s", EXACT_CLAIM_CORPUS)
 def test_every_pd_claim_of_pd_decompose_is_exactly_pd(s):
     signed, _ = pd_decompose(s)
     claims = pd_decompose_claims(signed)
@@ -384,10 +390,82 @@ def test_every_pd_claim_of_pd_decompose_is_exactly_pd(s):
     assert all(exact_pd(x) for x in claims)
 
 
+@pytest.mark.parametrize("s", EXACT_CLAIM_CORPUS)
+def test_every_psd_claim_of_pd_decompose_is_exactly_psd(s):
+    """The left factors after a_2 are claimed PSD: the diagonal units and the lifted
+    off-diagonal Hermitian units."""
+    signed, _ = pd_decompose(s)
+    assert all(exact_psd(t.a) for t in signed.terms[2:])
+
+
 def test_every_right_factor_of_two_sum_is_exactly_pd():
     for label, terms in two_sum_corpus():
         signed, _ = two_sum_pd(*terms[0], *terms[1])
         assert all(exact_pd(t.b) for t in signed.terms), label
+
+
+def test_every_left_factor_of_two_sum_is_exactly_psd():
+    for label, terms in two_sum_corpus():
+        signed, _ = two_sum_pd(*terms[0], *terms[1])
+        assert all(exact_psd(t.a) for t in signed.terms), label
+
+
+@pytest.mark.parametrize("t, psd", [
+    (I2, True),
+    (np.diag([1.0, 0.0]), True),
+    (np.zeros((2, 2)), True),
+    (np.ones((2, 2)), True),  # rank one
+    (np.array([[1.0, 2.0], [0.0, 1.0]]), True),  # T + T* = [[2, 2], [2, 2]]
+    (np.array([[1.0, 1j], [0.0, 1.0]]), True),  # T + T* = [[2, i], [-i, 2]]
+    (-I2, False),
+    (np.diag([1.0, -5e-324]), False),  # a subnormal negative eigenvalue: below every tol
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), False),  # zero diagonal, nonzero remainder
+    (np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]), False),  # the same after one pivot
+], ids=["identity", "diag-1-0", "zero", "ones", "shear", "complex", "minus-identity",
+        "subnormal-negative", "swap", "swap-after-a-pivot"])
+def test_exact_psd_decides_each_cell(t, psd):
+    assert exact_psd(t) is psd
+
+
+def one_sum_corpus():
+    """(label, a, b, pd): PD pairs scaled by (c, 1/c), real, complex and mirrored, and rank-one
+    factors v v* of small integers, exactly PSD, beside a PD factor, under scalings c."""
+    for kind in ("real", "complex", "mirror"):
+        rng = np.random.default_rng(["real", "complex", "mirror"].index(kind) + 37)
+        for i in range(10):
+            yield f"{kind}-{i}", *scrambled_pairs(rng, int(rng.integers(2, 6)), kind)[0], True
+    rng = np.random.default_rng(62)
+    rank_one = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])
+    for c in (1.0, -3.0, 0.6 + 0.8j, 2 - 1j, 1j):
+        pd = random_pd(rng, 3)
+        yield f"rank-one-left-{c}", c * rank_one, pd / c, False
+        yield f"rank-one-right-{c}", c * pd, rank_one / c, False
+
+
+def test_one_sum_positive_claims_hold_exactly():
+    """Both factors are claimed PSD, and PD when the operator is."""
+    for label, a, b, pd in one_sum_corpus():
+        a_hat, b_hat, _ = one_sum_positive(a, b)
+        assert all(exact_psd(x) for x in (a_hat, b_hat)), label
+        assert all(exact_pd(x) for x in (a_hat, b_hat)) is pd, label
+
+
+@pytest.mark.parametrize("c", [
+    1.0,
+    1e-6,
+    pytest.param(6e-10, marks=pytest.mark.xfail(
+        raises=DegenerateFactorError, strict=True,
+        reason="Known issue 1: the threshold floor tol max(1, ||b||_F) exceeds <f0, b f0> = c")),
+    pytest.param(3e-10, marks=pytest.mark.xfail(
+        raises=NotPositiveError, strict=True,
+        reason="Known issue 1: _classified's absolute zero test reads the operator as zero")),
+])
+def test_one_sum_positive_is_scale_covariant(c):
+    """one_sum_positive(I, c I) is the same operator at every c > 0 up to scale, so it is
+    rescaled by alpha = c to the factors (c I, I) at every c."""
+    a_hat, b_hat, trace = one_sum_positive(I2, c * I2)
+    assert trace.step("rescale").data["alpha"] == c
+    assert np.array_equal(a_hat, c * I2) and np.array_equal(b_hat, I2)
 
 
 def test_two_sum_left_stage_folds_on_the_hermitian_part_of_the_offset_factor():
@@ -908,6 +986,38 @@ def test_zeta_search_matches_reference_on_the_seed_7_corpora(dims, cs, hits):
     assert found == hits
 
 
+def test_zeta_transform_claims_hold_exactly():
+    """On every hit of the d = 2 seed-7 corpus the rewrite's claims hold in exact arithmetic:
+    every right factor PD, the combined left factor and the others PSD. Its exact Liouville
+    residual (max-entry, relative) is at most 4 rho u, rho = sum ||a_n||_F ||b_n||_F / ||L||_F
+    the output's growth factor and u = 2^-53; the corpus reaches 1.55 rho u."""
+    hits = 0
+    for s in seed_7_corpus((2,), (2, 8, 16, 32)):
+        signed = pd_decompose(s)[0]
+        cert = find_zeta_certificate(signed)
+        if cert is None:
+            continue
+        out = zeta_transform(signed, cert)
+        assert all(exact_pd(t.b) for t in out.terms) and all(exact_psd(t.a) for t in out.terms)
+        rho = sum(frob_norm(t.a) * frob_norm(t.b) for t in out.terms) / frob_norm(to_liouville(out))
+        assert exact_residual(signed, out) <= 4 * rho * 2.0**-53
+        hits += 1
+    assert hits == 121
+
+
+@pytest.mark.parametrize("out, residual", [
+    (lambda s: s, 0.0),
+    # the same operator, each term's factors scaled by 2 and 1/2: exact, so no residual
+    (lambda s: LRSum.from_pairs([(2 * t.a, t.b / 2) for t in s.terms]), 0.0),
+    # one entry one ulp up: a residual of exactly that ulp over max |L| = 1
+    (lambda s: LRSum.from_pairs([(np.diag([1.0, np.nextafter(1.0, 2.0)]), I2)]), 2.0**-52),
+    (lambda s: LRSum.from_pairs([(-I2, I2)]), 2.0),
+], ids=["same", "rescaled", "one-ulp", "negated"])
+def test_exact_residual_decides_each_cell(out, residual):
+    s = LRSum.from_pairs([(I2, I2)], 2)
+    assert exact_residual(s, out(s)) == residual
+
+
 def test_ray_window_certificate_is_found_by_the_walk():
     cert = find_zeta_certificate(ray_window_fixture())
     assert cert is not None and cert.zetas == (0.75,)
@@ -953,12 +1063,21 @@ def test_non_finite_zeta_difference_is_input_error():
     # the a-condition fails here (-a_1 + zeta * 0 = -I), and the search's
     # a-first order must still report the overflowed b_2 - zeta b_1
     decomp = SignedLRSum(2, (SignedTerm(-1, I2, 10 * I2), SignedTerm(1, 0 * I2, I2)))
-    a_n, b_n = _factor_stacks(decomp)
+    lead, a_n, b_n = _zeta_parts(decomp, 1)
     with np.errstate(over="ignore"):
         with pytest.raises(InputError, match="T: entries must be finite"):
             zeta_check(decomp, ZetaCertificate((1e308,)))
         with pytest.raises(InputError, match="T: entries must be finite"):
-            _zeta_conditions(decomp.terms[0], a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
+            _zeta_conditions(lead, a_n, b_n, np.array([1e308]), 1e-9, a_first=True)
+
+
+def test_an_overflowing_rewrite_is_input_error_without_a_warning():
+    """zeta = 1e308 overflows b_2 - zeta b_1: the check refuses it as an InputError, with no
+    RuntimeWarning on the way (one is an exception under warnings-as-errors, as in tier-1)."""
+    decomp = SignedLRSum(2, (SignedTerm(-1, I2, 10 * I2), SignedTerm(1, 10 * I2, I2)))
+    for call in (zeta_check, zeta_transform):
+        with pytest.raises(InputError, match="T: entries must be finite"):
+            call(decomp, ZetaCertificate((1e308,)))
 
 
 def test_overflow_at_the_ray_limit_is_left_to_the_walk():
@@ -1013,6 +1132,30 @@ def test_ray_limit_decides_a_miss_in_fixed_work(monkeypatch, make):
         counts.update(eigh=0, cholesky=0)
         assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
         assert counts == {"eigh": 2, "cholesky": 2}
+
+
+def test_the_walk_ends_at_the_last_distinct_point_of_the_ray(monkeypatch):
+    """Counts: 1 - 2^-k is exactly 1.0 from k = 54 on, so an undecided walk stops there. On
+    this fixture the limit passes, and the walk makes 11 a-checks that fail (k = 1 to 11)
+    and 43 that pass with their stacked b-check (k = 12 to 54): with the pencil and the
+    limit, 99 eigh calls at any max_halvings from 54 on."""
+    assert 1.0 - 2.0**-53 < 1.0 == 1.0 - 2.0**-54
+    signed = a_passes_b_fails_fixture()
+    counts = count_linalg(monkeypatch, "eigh", "cholesky")
+    for max_halvings in (54, 60, 2000):
+        counts.update(eigh=0, cholesky=0)
+        assert find_zeta_certificate(signed, max_halvings=max_halvings) is None
+        assert counts == {"eigh": 2 + 11 + 2 * 43, "cholesky": 2}
+
+
+def test_zeta_transform_rewrites_once(monkeypatch):
+    """Counts: the transform builds its output from the matrices its check validated."""
+    signed = pd_decompose(identity_superop(2))[0]
+    cert = find_zeta_certificate(signed)
+    calls = count_calls(monkeypatch, [(posdecomp, "_zeta_rewrite")])
+    out = zeta_transform(signed, cert)
+    assert calls == {"_zeta_rewrite": 1}
+    assert rel_err(to_liouville(out), to_liouville(signed)) <= 1e-14
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
