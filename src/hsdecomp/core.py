@@ -323,7 +323,8 @@ def _positive(stack, tol: float, strict=True) -> np.ndarray:
     widened by the rounding of the shift. The factored matrix is halved,
     (H -+ threshold I) / 2, so that no entry overflows (|h_ii| + threshold < 2 ||T||_F); the
     halving is exact in the normal range. One ``cholesky`` takes the whole stack; only when it
-    fails is each matrix factored alone, so a verdict never depends on its neighbours.
+    fails on two or more matrices is each factored alone, so a verdict never depends on its
+    neighbours, and a lone matrix is not factored twice.
     """
     ts = np.asarray(stack, dtype=_COMPLEX)
     non_hermitian, threshold = _tolerance_rule(ts, _rule_norms(ts), tol)
@@ -332,7 +333,7 @@ def _positive(stack, tol: float, strict=True) -> np.ndarray:
     h[:, diag, diag] -= np.where(strict, threshold / 2, -threshold / 2)[:, None]
     if _factors(h):
         return ~non_hermitian
-    return ~non_hermitian & np.array([_factors(m) for m in h], dtype=bool)
+    return ~non_hermitian & np.array([len(h) > 1 and _factors(m) for m in h], dtype=bool)
 
 
 def _positivity_class(lam: float, threshold: float) -> PositivityClass:

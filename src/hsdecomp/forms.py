@@ -19,10 +19,10 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     PositivityClass,
-    _lambda_min_stack,
     _positive,
     _positivity_class,
     as_square_matrix,
+    classify_hermitian,
     op_norm,
 )
 from .exceptions import HypothesisViolatedError, InputError, NotInnerProductError
@@ -96,12 +96,6 @@ _FORM_KINDS = {
 }
 
 
-def _form_class(phi: Form, tol: float) -> FormClass:
-    """The form class of ``phi`` from the positivity class of its operator."""
-    lam, threshold = _operator_lambda_min(phi.op, tol)
-    return FormClass(_FORM_KINDS[_positivity_class(lam, threshold)], float(lam))
-
-
 def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
     """Map the representing operator's positivity class to a form class.
 
@@ -109,18 +103,13 @@ def classify_form(phi: Form, tol: float = DEFAULT_TOL) -> FormClass:
     Hermitian (not an inner product: kernel vectors have vanishing form),
     PositiveDefinite -> DefiniteInnerProduct. No witness is computed.
     """
-    return _form_class(phi, tol)
+    lam, threshold = _operator_lambda_min(phi.op, tol)
+    return FormClass(_FORM_KINDS[_positivity_class(lam, threshold)], float(lam))
 
 
 def form_norm(phi: Form) -> float:
     """Norm of the form = operator norm of its Liouville matrix."""
     return op_norm(to_liouville(phi.op))
-
-
-def _factor_class(x: np.ndarray, tol: float) -> PositivityClass:
-    """The positivity class of one factor, for the message that refuses it."""
-    (lam,), (threshold,) = _lambda_min_stack(x[None], tol)
-    return _positivity_class(lam, threshold)
 
 
 def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
@@ -134,7 +123,7 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
 
     Both positivity hypotheses are decided by one ``core._positive`` call on the stacked
     factors, PSD for the left ones and PD for the right ones; a refused factor's class,
-    named in the message, is then read from its ``eigh``.
+    named in the message, is then ``classify_hermitian``'s.
 
     Raises
     ------
@@ -159,12 +148,12 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
         i = int(bad[0])
         raise HypothesisViolatedError(
             f"left factor {i} is not positive semidefinite "
-            f"(classifies {_factor_class(a_list[i], tol).value})",
+            f"(classifies {classify_hermitian(a_list[i], tol).kind.value})",
             index=i,
             reason="left factor not PSD",
         )
     svals = np.linalg.svd(np.vstack(a_list), compute_uv=False)
-    rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
+    rank = int(np.count_nonzero(svals > tol * svals[0]))
     if rank < dim:
         raise HypothesisViolatedError(
             f"left factors have a joint kernel (stacked rank {rank} < {dim})",
@@ -176,7 +165,7 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
         i = int(bad[0])
         raise HypothesisViolatedError(
             f"right factor {i} is not positive definite "
-            f"(classifies {_factor_class(b_list[i], tol).value})",
+            f"(classifies {classify_hermitian(b_list[i], tol).kind.value})",
             index=i,
             reason="right factor not PD",
         )
@@ -211,7 +200,7 @@ def equivalence_constants(
     parts the two operators store.
     """
     for name, phi in (("first", phi1), ("second", phi2)):
-        fc = _form_class(phi, tol)
+        fc = classify_form(phi, tol)
         if not fc.is_inner_product:
             raise NotInnerProductError(
                 f"{name} form classifies {fc.kind.value}, not an inner product"

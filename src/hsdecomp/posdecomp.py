@@ -253,9 +253,9 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     represents the same superoperator with both factors positive
     semidefinite -- positive definite whenever the superoperator is.
     """
-    a = as_square_matrix(a, "a")
-    b = as_square_matrix(b, "b")
-    tracer = _classified(LRSum.from_pairs([(a, b)]), tol, strict=False)
+    s = LRSum.from_pairs([(a, b)])
+    a, b = s.terms[0].a, s.terms[0].b
+    tracer = _classified(s, tol, strict=False)
     f0, alpha = _nonvanishing_vector(b, tol)
     a_hat = alpha * a
     b_hat = b / alpha
@@ -273,9 +273,12 @@ def one_sum_positive(a, b, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 def _one_sum_fallback(
     p: np.ndarray, q: np.ndarray, dim: int, tol: float, tracer: _Tracer, note: str
 ) -> LRSum:
-    """Degenerate two-sum path: one term vanished, rescale the survivor."""
+    """Degenerate two-sum path: one term vanished, rescale the survivor. The step records
+    the f0 and alpha of the rescale, so the output can be rebuilt from the trace."""
     a_hat, b_hat, sub = one_sum_positive(p, q, tol)
-    tracer.add("one_sum_fallback", note=note, sub_steps=[s.name for s in sub.steps])
+    rescale = sub.step("rescale").data
+    tracer.add("one_sum_fallback", note=note, sub_steps=[s.name for s in sub.steps],
+               f0=rescale["f0"], alpha=rescale["alpha"])
     pad = LRTerm(np.zeros((dim, dim), dtype=_COMPLEX), np.eye(dim, dtype=_COMPLEX))
     return LRSum(dim, (LRTerm(a_hat, b_hat), pad))
 

@@ -37,8 +37,11 @@ __all__ = [
 
 
 def matrix_to_rows(m) -> list:
-    m = np.asarray(m, dtype=np.complex128)
-    return np.stack([m.real, m.imag], -1).tolist()
+    """A complex array of any shape as nested lists with each entry an [re, im] pair, read
+    from one contiguous float64 view. A NaN stays a float, so a report that holds one fails
+    to render (``canonical_dumps`` refuses it); no library output holds one."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 # float() of an int this large in magnitude or larger overflows: it would round to 2**1024.
@@ -110,9 +113,8 @@ def rows_to_matrix(rows, dim: int | None = None, where: str = "matrix") -> np.nd
 def operator_to_obj(s: LRSum) -> dict:
     """Normalized JSON object for an operator; the sign field is always explicit.
 
-    The rows of every factor come from one array, the [re, im] pairs of ``matrix_to_rows``."""
-    factors = np.array([(t.a, t.b) for t in s.terms], dtype=np.complex128)
-    rows = factors.view(np.float64).reshape(*factors.shape, 2).tolist()
+    The rows of every factor come from one ``matrix_to_rows`` call on all of them."""
+    rows = matrix_to_rows([(t.a, t.b) for t in s.terms])
     terms = [{"sign": t.sign, "a": a, "b": b} for t, (a, b) in zip(s.terms, rows)]
     return {"dim": s.dim, "terms": terms}
 
@@ -146,8 +148,8 @@ def jsonify(x) -> Any:
     """Recursively convert library values into JSON-ready structures.
 
     Complex scalars become [re, im]; 1-D arrays become lists of pairs,
-    2-D arrays row arrays; NaN becomes null; tuple dict keys become
-    comma-joined strings.
+    2-D arrays row arrays (both by ``matrix_to_rows``, so a NaN in an array stays NaN and fails
+    rendering); a NaN scalar becomes null; tuple dict keys become comma-joined strings.
     """
     if x is None or isinstance(x, (bool, str)):
         return x
@@ -159,9 +161,7 @@ def jsonify(x) -> Any:
     if isinstance(x, (complex, np.complexfloating)):
         return [jsonify(x.real), jsonify(x.imag)]
     if isinstance(x, np.ndarray):
-        if x.ndim == 1:
-            return [jsonify(complex(v)) for v in x]
-        if x.ndim == 2:
+        if x.ndim in (1, 2):
             return matrix_to_rows(x)
         raise InputError(f"cannot serialize array of ndim {x.ndim}")
     if isinstance(x, dict):

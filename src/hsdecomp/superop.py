@@ -307,11 +307,10 @@ def from_liouville(m, variant: str = "left") -> LRSum:
     single entry of ``m``, read through an index permutation; no matrix
     products are needed.
     """
-    m = as_square_matrix(m, "liouville")
-    d = _liouville_dim(m)
+    blocks = left_blocks(m)
     if variant not in ("left", "right"):
         raise InputError(f"variant must be 'left' or 'right', got {variant!r}")
-    blocks = left_blocks(m)
+    d = blocks.shape[1]
     if variant == "right":
         # the right-variant block (n, m) collects entry (n, m) of every left-variant block
         blocks = blocks.reshape(d, d, d, d).transpose(2, 3, 0, 1).reshape(d * d, d, d)
@@ -403,6 +402,8 @@ def _independent_subset(columns: Sequence[np.ndarray], tol: float):
     stack = np.column_stack(columns)
     ncols = stack.shape[1]
     svals = np.linalg.svd(stack, compute_uv=False)
+    if not isfinite(svals[0]):  # an infinite threshold would drop every column
+        raise NumericalError("the singular values of a factor family exceed the float range")
     threshold = tol * float(svals[0])
     rank = int(np.count_nonzero(svals > threshold))
     if rank == ncols:
@@ -437,13 +438,17 @@ def _fold_dependent(family: list, partners: list, tol: float) -> tuple[list, lis
 
     A dependent member's partner, times each coefficient of its expansion
     over the kept members, is added to their partners, which preserves the
-    sum over the pairs. Returns the kept members and their new partners.
+    sum over the pairs. Returns the kept members and their new partners; NumericalError if a
+    new partner leaves the float range.
     """
     kept, coeffs = _independent_subset([vec(x) for x in family], tol)
     folded = {i: np.array(partners[i]) for i in kept}
-    for j, sol in coeffs.items():
-        for c, i in zip(sol, kept):
-            folded[i] = folded[i] + c * partners[j]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite partner is refused below
+        for j, sol in coeffs.items():
+            for c, i in zip(sol, kept):
+                folded[i] = folded[i] + c * partners[j]
+    if not np.isfinite(list(folded.values())).all():
+        raise NumericalError("a folded factor exceeds the float range")
     return [family[i] for i in kept], [folded[i] for i in kept]
 
 

@@ -485,8 +485,10 @@ def replay_two_sum(terms, trace_obj: dict, until: str | None = None) -> LRSum:
     the "fold_left" deltas and the "left_pencil" s. Each factor is the arithmetic
     ``two_sum_pd`` accepted, redone in its order (an offset search accepts base + t step),
     so the replay is equal bit for bit. Each "fold_right" g0 is checked against its beta1:
-    g0* p1 g0 = beta1 to 1e-10 max(1, ||p1||_F). A "one_sum_fallback" step records only the names of
-    its sub-steps, not the alpha it chose, so such a trace cannot be replayed: ValueError.
+    g0* p1 g0 = beta1 to 1e-10 max(1, ||p1||_F). A "one_sum_fallback" step rescales the term
+    that survives, the second after a vanished left factor and else the first, by its alpha,
+    as ``one_sum_positive`` does, and pads it with the term (0, I); its f0 is checked against
+    alpha as g0 is.
     """
     cur = [tuple(np.asarray(x, dtype=COMPLEX) for x in pair) for pair in terms]
     for step in trace_obj["steps"]:
@@ -509,7 +511,11 @@ def replay_two_sum(terms, trace_obj: dict, until: str | None = None) -> LRSum:
             s = data["s"]
             cur = [(p1, q1 + s * q2), (p2 + s * -p1, q2)]
         elif name == "one_sum_fallback":
-            raise ValueError("a one_sum_fallback step records no alpha: not replayable")
+            p, q = cur[1] if data["note"] == "left factor vanished" else cur[0]
+            alpha = complex(*data["alpha"])
+            f0 = np.array([complex(*v) for v in data["f0"]])
+            assert abs(complex(f0.conj() @ q @ f0) - alpha) <= 1e-10 * max(1.0, _norm(q))
+            cur = [(alpha * p, q / alpha), (np.zeros_like(p), np.eye(len(p), dtype=COMPLEX))]
         if name == until:
             break
     return LRSum.from_pairs(cur, len(cur[0][0]))
@@ -546,13 +552,13 @@ def shrinking_left_stage_inputs() -> list:
     return out
 
 
-def _exact_embedding(t) -> list:
-    """H = T + T* as the real symmetric [[Re H, -Im H], [Im H, Re H]] (each eigenvalue of H
-    twice), read exactly and scaled by one power of two to Python integers."""
+def _exact_embedding(t, shift=0.0) -> list:
+    """H = T + T* - 2 shift I as the real symmetric [[Re H, -Im H], [Im H, Re H]] (each
+    eigenvalue of H twice), read exactly and scaled by one power of two to Python integers."""
     t = np.asarray(t, dtype=COMPLEX)
     n = t.shape[0]
-    re = [[Fraction(float(t[i, j].real)) + Fraction(float(t[j, i].real)) for j in range(n)]
-          for i in range(n)]
+    re = [[Fraction(float(t[i, j].real)) + Fraction(float(t[j, i].real))
+           - (2 * Fraction(float(shift)) if i == j else 0) for j in range(n)] for i in range(n)]
     im = [[Fraction(float(t[i, j].imag)) - Fraction(float(t[j, i].imag)) for j in range(n)]
           for i in range(n)]
     real = [re[i] + [-x for x in im[i]] for i in range(n)] + [im[i] + re[i] for i in range(n)]
@@ -560,16 +566,17 @@ def _exact_embedding(t) -> list:
     return [[int(x * scale) for x in row] for row in real]
 
 
-def _first_nonpositive_pivot(t) -> tuple[int, list]:
+def _first_nonpositive_pivot(t, shift=0.0) -> tuple[int, list]:
     """Symmetric fraction-free Bareiss elimination (Math. Comp. 22, 1968) of the exact
-    embedding of H = T + T*, pivoting on the largest remaining diagonal entry: the first pivot
-    that is not positive and the remainder it heads, or (1, []) when every pivot is positive.
+    embedding of H = T + T* - 2 shift I, pivoting on the largest remaining diagonal entry: the
+    first pivot that is not positive and the remainder it heads, or (1, []) when every pivot
+    is positive.
 
     Each entry of the remainder is the Schur complement's times the last pivot, a leading
     principal minor of the permuted matrix, so every division is exact and a pivot's sign is
     its Schur complement's (Sylvester's criterion on that permutation).
     """
-    m, prev = _exact_embedding(t), 1
+    m, prev = _exact_embedding(t, shift), 1
     while m:
         k = max(range(len(m)), key=lambda i: m[i][i])
         pivot, row = m[k][k], m[k]
@@ -581,18 +588,19 @@ def _first_nonpositive_pivot(t) -> tuple[int, list]:
     return 1, []
 
 
-def exact_pd(t) -> bool:
-    """Whether H = T + T* is positive definite, decided exactly in Python integers: every
-    pivot of ``_first_nonpositive_pivot`` is positive. No rounding enters, so a claim within
-    any tolerance of the threshold is decided all the same."""
-    return _first_nonpositive_pivot(t)[0] > 0
+def exact_pd(t, shift=0.0) -> bool:
+    """Whether H = T + T* - 2 shift I is positive definite, that is lambda_min of the Hermitian
+    part of T exceeds ``shift``, decided exactly in Python integers: every pivot of
+    ``_first_nonpositive_pivot`` is positive. No rounding enters, so a claim within any
+    tolerance of the threshold is decided all the same."""
+    return _first_nonpositive_pivot(t, shift)[0] > 0
 
 
-def exact_psd(t) -> bool:
-    """Whether H = T + T* is positive semidefinite, decided exactly in Python integers: no
-    pivot is negative, and a zero pivot, the largest remaining diagonal entry, heads a
-    remainder that is all zero (a PSD matrix whose diagonal is at most zero is zero)."""
-    pivot, rest = _first_nonpositive_pivot(t)
+def exact_psd(t, shift=0.0) -> bool:
+    """Whether H = T + T* - 2 shift I is positive semidefinite, decided exactly in Python
+    integers: no pivot is negative, and a zero pivot, the largest remaining diagonal entry,
+    heads a remainder that is all zero (a PSD matrix whose diagonal is at most zero is zero)."""
+    pivot, rest = _first_nonpositive_pivot(t, shift)
     return pivot > 0 or (pivot == 0 and not any(map(any, rest)))
 
 

@@ -740,6 +740,19 @@ def test_overflowing_operator_is_reported_under_warnings_as_errors(command, obj,
     assert json.loads(code.stdout)["result"] == result
 
 
+def test_reduce_whose_fold_overflows_is_numerical_error_under_warnings_as_errors():
+    # the fold of two 1e308 I right factors overflowed with a RuntimeWarning, then the infinite
+    # factor was dropped: exit 0 with term_count 0, or a traceback under -W error
+    code = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hsdecomp", "reduce", "--in",
+         fixture("reduce_fold_overflow.json")], capture_output=True, text=True,
+    )
+    assert code.returncode == 2, code.stderr
+    assert json.loads(code.stdout) == {"command": "reduce", "error": {
+        "type": "NumericalError", "message": "a folded factor exceeds the float range"}}
+    assert code.stderr == "hsdecomp reduce: error: a folded factor exceeds the float range\n"
+
+
 def test_pd_decompose_where_the_squared_norms_overflow_under_warnings_as_errors():
     # each left factor times 1e155: an overflowed norm made every threshold infinite, so the
     # report dropped every off-diagonal block and exited 0 (a warning ended it under -W error)

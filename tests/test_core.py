@@ -24,12 +24,15 @@ from hsdecomp.core import (
     fix_phase,
     _positive,
     _positivity_class,
+    _threshold,
     hermitian_part,
     skew_part,
 )
 from hsdecomp.superop import left_blocks, selfadjoint_blocks
 from helpers import (
     count_linalg,
+    exact_pd,
+    exact_psd,
     frob_inner_loops,
     positive_oracle,
     psd_sum,
@@ -414,6 +417,38 @@ def test_positive_agrees_with_the_eigvalsh_oracle_outside_its_band():
     assert compared > 5000 and near > 1000, (compared, near)
 
 
+def test_positive_agrees_with_the_exact_verdict_outside_its_band():
+    """On mixed stacks at d = 1, 2, 4 and 8 and the counterexample's selfadjoint blocks, and on
+    their Hermitian parts moved next to each threshold, every Cholesky verdict on a Hermitian
+    matrix equals the exact one, lambda_min(H) > threshold (PD) or >= -threshold (PSD) decided
+    in integers at the library's threshold, wherever ``positive_oracle`` puts lambda_min more
+    than delta from the threshold. The d = 8 stacks skip the scale 1e300, where the integers
+    of one exact decision run to thousands of bits (about 70 ms each)."""
+    rng = np.random.default_rng(244)
+    base = {f"mixed d{d}": mixed_stack(rng, d, 1.0) for d in (2, 4, 8)}
+    base["d1"] = np.array([[[x]] for x in (2.0, -3.0, 0.0, 1e-10, -1e-10)])
+    base["counterexample blocks"] = selfadjoint_blocks(to_liouville(counterexample_superop(1e-4)))
+    compared, near, verdicts = 0, 0, set()
+    for scale in (1e-12, 1.0, 1e12, 1e300):
+        for name, stack in base.items():
+            if scale == 1e300 and stack.shape[-1] == 8:
+                continue
+            for strict in (True, False):
+                for stack_ in (scale * stack, _near(scale * stack, 1e-9, strict, rng)):
+                    got = _positive(stack_, 1e-9, strict)
+                    _, margin, delta = positive_oracle(stack_, 1e-9, strict)
+                    threshold = _threshold(_frob_norms(np.asarray(stack_, dtype=complex)), 1e-9)
+                    for i in np.flatnonzero(np.isfinite(margin) & (np.abs(margin) > delta)):
+                        exact = (exact_pd(stack_[i], threshold[i]) if strict
+                                 else exact_psd(stack_[i], -threshold[i]))
+                        assert got[i] == exact, (name, scale, strict, i)
+                        compared += 1
+                        near += int(abs(margin[i]) < 4 * delta[i])
+                        verdicts.add(exact)
+    assert verdicts == {True, False}
+    assert compared > 300 and near > 40, (compared, near)
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-3])
 @pytest.mark.parametrize("d", [1, 2, 5, 8])
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12, 1e300])
@@ -457,6 +492,15 @@ def test_positive_verdicts_do_not_depend_on_the_neighbours(monkeypatch, d):
         counts["cholesky"] = 0
         passing = stack[np.array(alone)]
         assert _positive(passing, 1e-9, strict).all() and counts["cholesky"] == 1
+
+
+def test_a_lone_failing_matrix_is_factored_once(monkeypatch):
+    """A stack of one matrix whose stacked cholesky fails is decided by that failure: the
+    matrix is not factored a second time on its own."""
+    counts = count_linalg(monkeypatch, "cholesky")
+    for strict in (True, False):
+        assert _positive(np.diag([1.0, -1.0])[None], 1e-9, strict).tolist() == [False]
+    assert counts == {"cholesky": 2}
 
 
 @pytest.mark.parametrize("t, tol, pd, psd", [

@@ -34,6 +34,9 @@ from helpers import (
     build_inner_product_error_reference,
     classify_form_reference,
     count_linalg,
+    exact_pd,
+    exact_psd,
+    kernel_disjoint_psd_family,
     liouville_builds,
     positive_oracle,
     psd_sum,
@@ -43,6 +46,7 @@ from helpers import (
     random_pd,
     random_psd,
     rel_err,
+    stacked_kernel_trivial,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -514,6 +518,62 @@ def test_build_inner_product_decides_as_the_reference_next_to_each_threshold(d):
         outcomes.add(ref[2])
     assert outcomes == {"accepted", "left factor not PSD", "joint kernel nontrivial",
                         "right factor not PD"}
+
+
+# ------------------------------------------------------------ exact referee
+
+
+def integer_psd_family(rng, d, count):
+    """Rank-deficient PSD factors x x* of small Gaussian-integer x, with jointly trivial
+    kernel: every entry is a small integer, so each factor is exactly Hermitian and PSD."""
+    while True:
+        mats = []
+        for _ in range(count):
+            shape = (d, int(rng.integers(1, d)))
+            x = rng.integers(-3, 4, shape) + 1j * rng.integers(-3, 4, shape)
+            mats.append(x @ x.conj().T)
+        if stacked_kernel_trivial(mats):
+            return mats
+
+
+def accepted_families():
+    """(label, left factors, right factors) that build_inner_product accepts: full-rank PSD,
+    rank-deficient Gaussian-integer and rank-deficient rounded left factors beside random PD
+    right ones at d = 1..4 (one factor pair at d = 1), and two rounded d = 8 families of four
+    pairs, as the benchmark's forms items draw them."""
+    rng = np.random.default_rng(590)
+    out = [("full-d1", [random_psd(rng, 1)], [random_pd(rng, 1)])]
+    for d in (2, 3, 4):
+        for i in range(3):
+            count = int(rng.integers(2, 5))
+            b_list = [random_pd(rng, d) for _ in range(count)]
+            out.append((f"full-d{d}-{i}", [random_psd(rng, d) for _ in range(count)], b_list))
+            out.append((f"integer-d{d}-{i}", integer_psd_family(rng, d, count), b_list))
+            out.append((f"rounded-d{d}-{i}", kernel_disjoint_psd_family(rng, d, count), b_list))
+    for i in range(2):
+        out.append((f"rounded-d8-{i}", kernel_disjoint_psd_family(rng, 8, 4),
+                    [random_pd(rng, 8) for _ in range(4)]))
+    return out
+
+
+def test_every_claim_build_inner_product_accepts_holds_exactly():
+    """Every right factor of an accepted family is exactly PD, and every left factor is
+    exactly PSD where the family is full rank or made of integers."""
+    for label, a_list, b_list in accepted_families():
+        phi = build_inner_product(a_list, b_list)
+        assert all(exact_pd(t.b) for t in phi.op.terms), label
+        if not label.startswith("rounded"):
+            assert all(exact_psd(t.a) for t in phi.op.terms), label
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "a rank-deficient x x* rounded to floats has a lambda_min of about -1e-16: exactly "
+    "indefinite, yet accepted as PSD within the threshold tol max(1, ||a||_F)"))
+def test_rounded_rank_deficient_left_factors_are_exactly_psd():
+    indefinite = [label for label, a_list, b_list in accepted_families()
+                  if label.startswith("rounded")
+                  for t in build_inner_product(a_list, b_list).op.terms if not exact_psd(t.a)]
+    assert not indefinite, indefinite
 
 
 # ------------------------------------------------------------ work counts

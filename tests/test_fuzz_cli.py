@@ -7,8 +7,9 @@ one of the 16 subcommands of ``cli._COMMANDS`` with random values of its flags (
 process. The mutations reach these extremes on purpose: nesting up to 100,000 deep, integer
 literals over the interpreter's 4,300-digit limit, NaN and Infinity tokens, empty and
 textually duplicated keys, lone surrogates (escaped and raw), a type swapped at each level,
-and dims at and beyond the Liouville size limit. A valid dim stays at 8 or less, so no case
-builds a large Liouville matrix.
+dims at and beyond the Liouville size limit, every number of one matrix scaled by 10^k with
+|k| up to 308, and a term repeated with its left factor doubled, so that ``reduce`` folds a
+dependent family. A valid dim stays at 8 or less, so no case builds a large Liouville matrix.
 
 For every case:
 - the exit code is 0, 1 or 2;
@@ -50,6 +51,7 @@ TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "-0.0", "5e-324", "
           "9" * 4300, "9" * 4301, "-" + "1" * 5000]
 SWAPS = [None, True, False, 0, -1, 2.5, "x", "", [], {}, [[1.0, 0.0]], {"": 0}]
 SURROGATES = ["\ud800", "\udfff", "\udc80x"]
+SCALES = [-308, -300, -150, -20, 20, 150, 300, 308]
 
 
 def run(argv: list[str], stdin_text: str) -> tuple[int, str, str]:
@@ -87,6 +89,22 @@ def _nodes(x, path=()):
     items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
     for key, value in items:
         yield from _nodes(value, path + (key,))
+
+
+def _is_matrix(x) -> bool:
+    """Whether ``x`` is a non-empty list of non-empty rows of [re, im] number pairs."""
+    return (isinstance(x, list) and bool(x) and all(isinstance(row, list) and row for row in x)
+            and all(isinstance(e, list) and len(e) == 2 and all(type(v) in (int, float) for v in e)
+                    for row in x for e in row))
+
+
+def _scaled(x, c):
+    """``x`` with every int and float in its nested lists times ``c``."""
+    if type(x) in (int, float):
+        return x * c
+    if isinstance(x, list):
+        return [_scaled(v, c) for v in x]
+    return x
 
 
 def _replace(root, path, value):
@@ -210,8 +228,30 @@ class _Case:
         return f"drop@{len(path)}"
 
 
+    def scale(self) -> str:
+        node = self.pick(lambda p, x: _is_matrix(x))
+        if node is None:
+            return self.swap()
+        k = self.rng.choice(SCALES)
+        self.put(node[0], _scaled(node[1], 10.0**k))
+        return f"scale 1e{k}"
+
+    def repeat(self) -> str:
+        node = self.pick(lambda p, x: p and p[-1] == "terms" and isinstance(x, list)
+                         and any(isinstance(t, dict) and "a" in t for t in x))
+        if node is None:
+            return self.swap()
+        terms = node[1]
+        term = copy.deepcopy(self.rng.choice([t for t in terms
+                                              if isinstance(t, dict) and "a" in t]))
+        term.pop("sign", None)  # a second negative term would be refused before any fold
+        term["a"] = _scaled(term["a"], 2)
+        terms.append(term)
+        return "repeat"
+
+
 MUTATIONS = ["swap", "token", "deep", "dim", "empty_key", "duplicate_key", "surrogate", "drop",
-             "truncate", None]
+             "scale", "repeat", "truncate", None]
 
 
 _FIELDS = {"apply": {"sum", "eta"}, "form-eval": {"sum", "eta", "tau"},
@@ -308,12 +348,15 @@ def fuzz(count: int, seed: int = SEED) -> list[str]:
     return failures
 
 
-# cases the fuzzer found escaping ``cli.main``, each a typed error now: (argv, input fixture,
-# exit code). zeta = 1e308 overflowed b_2 - zeta b_1 with a RuntimeWarning, an exception under
-# PYTHONWARNINGS=error, before the finiteness check that refuses it.
+# cases that escaped ``cli.main`` or gave a wrong report, each a typed error now: (argv, input
+# fixture, exit code). zeta = 1e308 overflowed b_2 - zeta b_1 with a RuntimeWarning, an
+# exception under PYTHONWARNINGS=error, before the finiteness check that refuses it. reduce
+# folded 2 (1e308 I) into a right factor with a RuntimeWarning and then dropped the infinite
+# factor, so it reported 0 terms with exit 0.
 FINDINGS = [
     (["zeta-check", "--zeta", "1e308"], "scalar_zeta.json", 1),
     (["zeta-transform", "--zeta", "1e308"], "scalar_zeta.json", 1),
+    (["reduce"], "reduce_fold_overflow.json", 2),
 ]
 
 

@@ -128,6 +128,20 @@ def test_one_sum_rejects_zero():
         one_sum_positive(np.zeros((2, 2)), I2)
 
 
+def test_one_sum_validates_each_factor_once(monkeypatch):
+    """The one-term operator validates a and b and one_sum_positive reads them back from it:
+    two as_square_matrix calls, and the messages name the factors "a" and "b"."""
+    calls = count_calls(monkeypatch, [(superop, "as_square_matrix"),
+                                      (posdecomp, "as_square_matrix")])
+    one_sum_positive(I2, 2 * I2)
+    assert calls == {"as_square_matrix": 2}
+    for a, b, message in [([[np.nan]], I2, "^a: entries must be finite$"),
+                          (I2, [[1.0, 2.0]], r"^b: expected a square matrix, got shape \(1, 2\)$"),
+                          (I2, np.eye(3), "^term factors disagree in dimension: 2 vs 3$")]:
+        with pytest.raises(InputError, match=message):
+            one_sum_positive(a, b)
+
+
 def test_one_sum_zero_test_reads_the_stored_norm_pass(monkeypatch):
     """The zero test ||L||_F <= tol reads the norm that the classify step's rule pass stored
     on the operator: one norm pass of the Liouville matrix, and no frob_norm of it."""
@@ -255,8 +269,9 @@ def test_two_sum_left_factor_vanished_falls_back():
         (1, I2.tolist(), I2.tolist()), (1, np.zeros((2, 2)).tolist(), I2.tolist()),
     ]
     assert [s.name for s in trace.steps] == ["classify", "one_sum_fallback"]
-    assert trace.step("one_sum_fallback").data == {
+    assert wire_trace(trace)["steps"][-1]["data"] == {
         "note": "left factor vanished", "sub_steps": ["classify", "rescale"],
+        "f0": [[1.0, 0.0], [0.0, 0.0]], "alpha": [1.0, 0.0],
     }
     assert np.array_equal(signed_liouville(signed), np.eye(4))
 
@@ -313,16 +328,34 @@ def test_two_sum_trace_replay():
         assert replay_two_sum(terms, trace_obj) != signed, label
 
 
-def test_two_sum_one_sum_fallback_is_not_replayable_from_its_trace():
-    """The one_sum_fallback step records the names of its sub-steps, not the alpha its
-    rescaling chose, so its output cannot be rebuilt from the trace."""
-    terms = [(np.zeros((2, 2)), -I2), (I2, I2)]
-    _, trace = two_sum_pd(*terms[0], *terms[1])
-    trace_obj = wire_trace(trace)
-    assert trace_obj["steps"][-1] == {"name": "one_sum_fallback", "data": {
-        "note": "left factor vanished", "sub_steps": ["classify", "rescale"]}}
-    with pytest.raises(ValueError, match="records no alpha"):
-        replay_two_sum(terms, trace_obj)
+def fallback_corpus():
+    """(label, terms) of two-sum inputs that take the one-sum fallback: a vanished left factor
+    after a swap, or a vanished second term, of real and complex survivors."""
+    rng = np.random.default_rng(290)
+    yield "left-vanished", [(np.zeros((2, 2)), -I2), (I2, I2)]
+    for i in range(4):
+        d = int(rng.integers(2, 4))
+        a, b = random_pd(rng, d) * (1 - 2j), random_pd(rng, d) / (1 - 2j)
+        zero, other = np.zeros((d, d)), random_pd(rng, d)
+        yield f"left-vanished-{i}", [(a, b), (zero, -other)]
+        yield f"second-vanished-{i}", [(-a, -b), (zero, other)]
+
+
+def test_two_sum_one_sum_fallback_replays_from_its_trace():
+    """The one_sum_fallback step records the f0 and alpha of its rescale, so the input pairs
+    and the JSON trace determine the output exactly, and one ulp off alpha gives another."""
+    notes = set()
+    for label, terms in fallback_corpus():
+        signed, trace = two_sum_pd(*terms[0], *terms[1])
+        trace_obj = wire_trace(trace)
+        fallback = trace_obj["steps"][-1]
+        assert fallback["name"] == "one_sum_fallback", label
+        notes.add(fallback["data"]["note"])
+        assert replay_two_sum(terms, trace_obj) == signed, label
+        alpha = fallback["data"]["alpha"]
+        alpha[0] = float(np.nextafter(alpha[0], np.inf))
+        assert replay_two_sum(terms, trace_obj) != signed, label
+    assert notes == {"left factor vanished", "second term vanished"}
 
 
 def test_one_sum_replays_from_its_json_trace():

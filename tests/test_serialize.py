@@ -327,6 +327,23 @@ def test_jsonify_values():
         jsonify({"x": [object()]})
 
 
+def test_matrix_to_rows_encodes_every_array_as_its_pairs():
+    """Arrays of any shape and memory layout encode as the [re, im] pairs of their entries,
+    signed zeros kept; jsonify's 1-D and 2-D branches are matrix_to_rows, so a NaN in an array
+    stays NaN and fails rendering, where a NaN scalar becomes null."""
+    m = (np.arange(16) - 7.5 + 1j * (np.arange(16) % 3 - 1.0)).reshape(4, 4)
+    for x in (m, m.T, m[::2, 1:], m[0], m[:, 1], m.real, np.array([-0.0, 1j]),
+              m.reshape(2, 2, 4), np.zeros((0,))):
+        expected = json.dumps(np.stack([np.real(x), np.imag(x)], -1).tolist())
+        assert json.dumps(matrix_to_rows(x)) == expected
+        if x.ndim <= 2:
+            assert json.dumps(jsonify(x)) == expected
+    for x in (np.array([np.nan, 1.0]), np.full((2, 2), np.nan)):
+        with pytest.raises(ValueError, match="Out of range float values"):
+            canonical_dumps(jsonify(x))
+    assert jsonify(complex(np.nan, 1.0)) == [None, 1.0]
+
+
 def test_constructors_follow_the_wire_format_sign_and_dim_rule():
     eye = np.eye(2)
     ref = LRSum(2, (LRTerm(eye, eye, -1), LRTerm(eye, eye)))

@@ -9,6 +9,7 @@ from hsdecomp import (
     LRSum,
     LRTerm,
     NotSelfadjointError,
+    NumericalError,
     PositivityClass,
     adjoint,
     apply_superop,
@@ -24,9 +25,11 @@ from hsdecomp import (
     unvec,
     vec,
 )
+from hsdecomp import superop
 from hsdecomp.posdecomp import counterexample_superop, diag_blocks, pd_decompose
 from hsdecomp.superop import _MAX_LIOUVILLE_DIM, _independent_subset
 from helpers import (
+    count_calls,
     count_linalg,
     independent_subset_reference,
     kernel_disjoint_psd_family,
@@ -221,6 +224,21 @@ def test_from_liouville_bad_size():
         from_liouville(np.zeros((4, 4)), "middle")
 
 
+def test_from_liouville_validates_its_matrix_once(monkeypatch):
+    """left_blocks validates the Liouville matrix and from_liouville then checks the variant:
+    one as_square_matrix call on the matrix and one per emitted factor, one size check, and
+    the errors in the order matrix, size, variant."""
+    m = to_liouville(counterexample_superop(0.25))
+    calls = count_calls(monkeypatch, [(superop, "as_square_matrix"), (superop, "_liouville_dim")])
+    s = from_liouville(m)
+    assert calls == {"as_square_matrix": 1 + 2 * len(s), "_liouville_dim": 1}
+    for bad, message in [([[np.nan]], "^liouville: entries must be finite$"),
+                         (np.zeros((5, 5)), "^Liouville matrix size 5 is not a perfect square$"),
+                         (np.eye(4), "^variant must be 'left' or 'right', got 'middle'$")]:
+        with pytest.raises(InputError, match=message):
+            from_liouville(bad, "middle")
+
+
 def test_adjoint_examples():
     s = identity_superop(2)
     np.testing.assert_allclose(to_liouville(adjoint(s)), np.eye(4))
@@ -291,6 +309,28 @@ def test_reduce_keeps_independent_terms():
 def test_reduce_empty():
     s = LRSum(3, ())
     assert len(reduce_terms(s)) == 0
+
+
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # the left factors are dependent, and folding 2 (1e308 I) into the kept right factor
+    # overflows: the second pass then dropped the infinite factor, leaving 0 terms
+    ([(1e-10 * I2, 1e308 * I2), (2e-10 * I2, 1e308 * I2)],
+     "^a folded factor exceeds the float range$"),
+    # sigma_max of the two stacked 1e308 I columns is 2e308: an infinite rank threshold
+    # dropped every column
+    ([(1e308 * I2, 1e-10 * I2), (1e308 * I2, 2e-10 * I2)],
+     "^the singular values of a factor family exceed the float range$"),
+], ids=["fold", "singular-values"])
+def test_reduce_refuses_a_family_beyond_the_float_range(pairs, message):
+    """The operator is 3e298 I (x) I, positive definite with a finite Liouville matrix, but its
+    reduction leaves the float range: a NumericalError, not the zero operator, and no warning."""
+    s = LRSum.from_pairs(pairs)
+    assert classify_superop(s).kind is PositivityClass.POSITIVE_DEFINITE
+    with pytest.raises(NumericalError, match=message):
+        reduce_terms(s)
 
 
 def test_reduce_output_families_independent():
