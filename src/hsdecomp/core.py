@@ -37,7 +37,8 @@ Conventions
   refuses a non-selfadjoint operator, each after the rule's decision at the caller's tol;
   ``classify_superop`` passes the stored norms and spectrum to ``_classify``. Different on
   purpose: the one-sum zero test ||M||_F <= tol (absolute), the sigma_max-relative rank tests
-  of ``_independent_subset`` and ``build_inner_product``, and ``fix_phase``'s 1e-12 pivot.
+  of ``_independent_subset`` and ``build_inner_product`` (the latter of factors divided by
+  their Frobenius norms), and ``fix_phase``'s 1e-12 pivot.
 - Eigenvector output is phase-normalized (first nonzero component real
   positive) so repeated runs produce identical reports.
 """
@@ -75,9 +76,17 @@ _COMPLEX = np.complex128
 
 
 def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``x`` as a finite square complex matrix (a copy)."""
+    """Validate and return ``x`` as a finite square complex matrix.
+
+    The result is a copy, unless ``x`` is already frozen: a contiguous, read-only complex128
+    ndarray whose memory owner is a read-only ndarray (an ``LRTerm`` factor, or a row of
+    ``build_inner_product``'s factor stack). A frozen ``x`` is checked in the same way and
+    returned itself, so a matrix the library has checked and frozen is not copied again. A
+    copy keeps the layout of a contiguous ``x``, so either result has the same bits and
+    memory order. Any other input, a writable one first of all, is copied.
+    """
     try:
-        m = np.array(x, dtype=_COMPLEX)
+        m = x if _frozen(x) else np.array(x, dtype=_COMPLEX)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name}: not convertible to a complex matrix") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
@@ -85,6 +94,17 @@ def as_square_matrix(x, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InputError(f"{name}: entries must be finite")
     return m
+
+
+def _frozen(x) -> bool:
+    """Whether ``x`` is a contiguous, read-only complex128 ndarray whose memory owner (``x``
+    itself or its ``base``) is a read-only ndarray owning its data. A writable ``x`` is
+    answered by its first test."""
+    if type(x) is not np.ndarray or x.flags.writeable or x.dtype != _COMPLEX:
+        return False
+    owner = x if x.base is None else x.base
+    return (type(owner) is np.ndarray and owner.base is None and not owner.flags.writeable
+            and (x.flags.c_contiguous or x.flags.f_contiguous))
 
 
 def _is_integer(x) -> bool:
@@ -327,7 +347,13 @@ def _positive(stack, tol: float, strict=True) -> np.ndarray:
     neighbours, and a lone matrix is not factored twice.
     """
     ts = np.asarray(stack, dtype=_COMPLEX)
-    non_hermitian, threshold = _tolerance_rule(ts, _rule_norms(ts), tol)
+    return _positive_by_rule(ts, _rule_norms(ts), tol, strict)
+
+
+def _positive_by_rule(ts: np.ndarray, rule_norms, tol: float, strict) -> np.ndarray:
+    """``_positive`` of the complex stack ``ts``, with ``rule_norms`` its ``_rule_norms``, for
+    a caller that reads the norms too (``build_inner_product``)."""
+    non_hermitian, threshold = _tolerance_rule(ts, rule_norms, tol)
     h = hermitian_part(ts / 2)
     diag = np.arange(h.shape[-1])
     h[:, diag, diag] -= np.where(strict, threshold / 2, -threshold / 2)[:, None]

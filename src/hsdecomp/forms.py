@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _COMPLEX,
     DEFAULT_TOL,
     PositivityClass,
-    _positive,
+    _positive_by_rule,
+    _rule_norms,
     _positivity_class,
     as_square_matrix,
     classify_hermitian,
@@ -30,8 +32,8 @@ from .pencil import _hermitian_extremes
 from .superop import (
     LRSum,
     _hermitian_liouville,
+    _apply,
     _operator_lambda_min,
-    apply_superop,
     to_liouville,
     unvec,
 )
@@ -85,7 +87,7 @@ def eval_form(phi: Form, eta, tau) -> complex:
     for name, x in (("eta", eta), ("tau", tau)):
         if x.shape[0] != phi.dim:
             raise InputError(f"dimension mismatch: form dim {phi.dim}, {name} dim {x.shape[0]}")
-    return complex(np.vdot(eta, apply_superop(phi.op, tau)))
+    return complex(np.vdot(eta, _apply(phi.op, tau)))
 
 
 _FORM_KINDS = {
@@ -116,43 +118,41 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
     """Assemble a (definite) inner product from validated factor families.
 
     Requires every left factor positive semidefinite with jointly trivial
-    kernel (the vertically stacked factors have full column rank) and
-    every right factor positive definite. With finitely many terms the
-    right factors' greatest lower bounds are bounded away from zero, so
-    the resulting form is automatically a definite inner product.
+    kernel (the vertically stacked factors, each divided by its Frobenius
+    norm, have full column rank) and every right factor positive definite.
+    With finitely many terms the right factors' greatest lower bounds are
+    bounded away from zero, so the resulting form is automatically a
+    definite inner product.
 
-    Both positivity hypotheses are decided by one ``core._positive`` call on the stacked
-    factors, PSD for the left ones and PD for the right ones; a refused factor's class,
-    named in the message, is then ``classify_hermitian``'s.
+    Both families are converted, checked and decided as one read-only (2k, d, d) stack, left
+    factors first (``_factor_stack``). One norm pass of the positivity rule and one stacked
+    ``core._positive`` verdict (``_positive_by_rule``) decide the PSD left and PD right
+    factors; the joint-kernel SVD reads the stack's left half, each factor divided by its
+    norm from that pass (a zero factor stays zero), so rebalancing a term (a, b) as
+    (c a, b / c) does not change the verdict and no singular value overflows. The Form's
+    factors are the stack's rows, which ``LRTerm`` keeps without a copy. A refused factor's
+    class, named in the message, is then ``classify_hermitian``'s.
 
     Raises
     ------
     HypothesisViolatedError
         Carrying the index of the offending factor and the reason.
     """
-    a_list = [as_square_matrix(a, f"a[{i}]") for i, a in enumerate(a_list)]
-    b_list = [as_square_matrix(b, f"b[{i}]") for i, b in enumerate(b_list)]
-    if len(a_list) != len(b_list):
-        raise InputError(
-            f"factor lists disagree in length: {len(a_list)} vs {len(b_list)}"
-        )
-    if not a_list:
-        raise InputError("at least one factor pair is required")
-    dim = a_list[0].shape[0]
-    for i, (a, b) in enumerate(zip(a_list, b_list)):
-        if a.shape[0] != dim or b.shape[0] != dim:
-            raise InputError(f"factor pair {i} has inconsistent dimension")
-    ok = _positive(np.stack(a_list + b_list), tol, np.repeat([False, True], len(a_list)))
-    bad = np.flatnonzero(~ok[:len(a_list)])
-    if bad.size:
-        i = int(bad[0])
+    stack = _factor_stack(a_list, b_list)
+    k, dim = len(stack) // 2, stack.shape[-1]
+    rule_norms = _rule_norms(stack)
+    ok = _positive_by_rule(stack, rule_norms, tol, np.arange(2 * k) >= k)
+    if not ok[:k].all():
+        i = int(np.argmin(ok[:k]))
         raise HypothesisViolatedError(
             f"left factor {i} is not positive semidefinite "
-            f"(classifies {classify_hermitian(a_list[i], tol).kind.value})",
+            f"(classifies {classify_hermitian(stack[i], tol).kind.value})",
             index=i,
             reason="left factor not PSD",
         )
-    svals = np.linalg.svd(np.vstack(a_list), compute_uv=False)
+    norms = rule_norms[0][:k]
+    unit = stack[:k] / np.where(norms > 0, norms, 1.0)[:, None, None]
+    svals = np.linalg.svd(unit.reshape(k * dim, dim), compute_uv=False)
     rank = int(np.count_nonzero(svals > tol * svals[0]))
     if rank < dim:
         raise HypothesisViolatedError(
@@ -160,16 +160,47 @@ def build_inner_product(a_list, b_list, tol: float = DEFAULT_TOL) -> Form:
             index=None,
             reason="joint kernel nontrivial",
         )
-    bad = np.flatnonzero(~ok[len(a_list):])
-    if bad.size:
-        i = int(bad[0])
+    if not ok[k:].all():
+        i = int(np.argmin(ok[k:]))
         raise HypothesisViolatedError(
             f"right factor {i} is not positive definite "
-            f"(classifies {classify_hermitian(b_list[i], tol).kind.value})",
+            f"(classifies {classify_hermitian(stack[k + i], tol).kind.value})",
             index=i,
             reason="right factor not PD",
         )
-    return Form(LRSum.from_pairs(zip(a_list, b_list), dim))
+    return Form(LRSum.from_pairs(zip(stack[:k], stack[k:]), dim))
+
+
+def _factor_stack(a_list, b_list) -> np.ndarray:
+    """The factor families as one read-only complex (2k, d, d) stack, left factors first.
+
+    Valid families are converted and checked for finiteness in one pass each, with no
+    Python work per factor. Only a bad family is checked factor by factor, ``as_square_matrix``
+    on each a[i] and then each b[i], then the lengths and dimensions, so that the error is
+    the one the first bad factor or pair raises.
+    """
+    a_list, b_list = list(a_list), list(b_list)
+    try:
+        stack = np.array(a_list + b_list, dtype=_COMPLEX)
+    except (TypeError, ValueError, OverflowError):  # the loop below names the factor
+        stack = None
+    if not (stack is not None and len(a_list) == len(b_list) and stack.ndim == 3
+            and stack.shape[1] == stack.shape[2] > 0 and np.isfinite(stack).all()):
+        a_list = [as_square_matrix(a, f"a[{i}]") for i, a in enumerate(a_list)]
+        b_list = [as_square_matrix(b, f"b[{i}]") for i, b in enumerate(b_list)]
+        if len(a_list) != len(b_list):
+            raise InputError(
+                f"factor lists disagree in length: {len(a_list)} vs {len(b_list)}"
+            )
+        if not a_list:
+            raise InputError("at least one factor pair is required")
+        dim = a_list[0].shape[0]
+        for i, (a, b) in enumerate(zip(a_list, b_list)):
+            if a.shape[0] != dim or b.shape[0] != dim:
+                raise InputError(f"factor pair {i} has inconsistent dimension")
+        stack = np.stack(a_list + b_list)
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, slots=True)

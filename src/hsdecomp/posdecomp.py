@@ -319,7 +319,9 @@ def two_sum_pd(a1, b1, a2, b2, tol: float = DEFAULT_TOL) -> tuple[LRSum, Decompo
     ]
     dim = terms[0][0].shape[0]
     tracer = _classified(LRSum.from_pairs(terms), tol)
-    zero_threshold = _threshold(max(frob_norm(x) for pair in terms for x in pair), tol)
+    # a left factor vanishes against the left factors alone: (c a, b / c) is the same term for
+    # every c > 0, so the right factors' norms say nothing about the left ones' scale
+    zero_threshold = _threshold(max(frob_norm(p) for p, _ in terms), tol)
 
     def near_zero(x) -> bool:
         return frob_norm(x) <= zero_threshold

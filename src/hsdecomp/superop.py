@@ -16,14 +16,15 @@ oracle for every spectral question about a superoperator: Hermiticity,
 positivity and greatest lower bounds of the induced quadratic form on
 the matrix space are read off its ordinary eigendecomposition.
 
-An LRSum is frozen and each LRTerm owns private read-only copies of its
-factors, so four values are properties of the operator: the Liouville
-matrix, the norm pass of the tolerance rule on it (||L||_F and
-||L - L*||_F, from ``core._rule_norms``), its Hermitian part and the
-``eigh`` of that part. Each is computed on first use, then kept read-only
-on the LRSum (about 192 KB at d = 8), ignored by equality and pickling.
-They hold no tolerance; each call applies only its own ``tol``. The pencil
-of ``forms.equivalence_constants`` reads the stored Hermitian parts.
+An LRSum is frozen and each LRTerm holds read-only factors that no caller
+can write (copies, or arrays the library has already frozen), so four
+values are properties of the operator: the Liouville matrix, the norm
+pass of the tolerance rule on it (||L||_F and ||L - L*||_F, from
+``core._rule_norms``), its Hermitian part and the ``eigh`` of that part.
+Each is computed on first use, then kept read-only on the LRSum (about
+192 KB at d = 8), ignored by equality and pickling. They hold no
+tolerance; each call applies only its own ``tol``. The pencil of
+``forms.equivalence_constants`` reads the stored Hermitian parts.
 """
 
 from __future__ import annotations
@@ -77,6 +78,12 @@ class LRTerm:
 
     The sign is an integer, stored as a Python int. Terms are equal when their signs and the
     entries of their factors are; they are not hashable.
+
+    Each factor is checked by ``as_square_matrix`` and stored read-only. A factor that is
+    already frozen (contiguous, read-only complex128, its memory owner a read-only ndarray:
+    another term's factor, or a row of ``build_inner_product``'s stack) is checked and kept
+    as it is; every other input, a writable one or a read-only view of a writable owner, is
+    copied, so no caller can change a term after it is built.
     """
 
     a: np.ndarray
@@ -192,6 +199,12 @@ def apply_superop(s: LRSum, eta) -> np.ndarray:
     eta = as_square_matrix(eta, "eta")
     if eta.shape[0] != s.dim:
         raise InputError(f"dimension mismatch: operator dim {s.dim}, eta dim {eta.shape[0]}")
+    return _apply(s, eta)
+
+
+def _apply(s: LRSum, eta: np.ndarray) -> np.ndarray:
+    """``apply_superop`` of a finite square complex matrix ``eta`` of the operator's
+    dimension, which the caller has checked."""
     out = np.zeros((s.dim, s.dim), dtype=_COMPLEX)
     with np.errstate(over="ignore", invalid="ignore"):  # the caller reports a non-finite image
         for t in s.as_lrsum().terms:

@@ -352,7 +352,8 @@ def build_inner_product_error_reference(a_list, b_list, tol=1e-9):
     """(message, index, reason) of the first hypothesis ``build_inner_product`` rejects, or None.
 
     One ``classify_hermitian`` call per factor: left factors PSD, then the stacked
-    rank of the left factors, then right factors PD.
+    rank of the left factors, each divided by its Frobenius norm (a zero factor stays
+    zero), then right factors PD.
     """
     a_list = [np.asarray(a, dtype=COMPLEX) for a in a_list]
     b_list = [np.asarray(b, dtype=COMPLEX) for b in b_list]
@@ -362,7 +363,8 @@ def build_inner_product_error_reference(a_list, b_list, tol=1e-9):
             return (f"left factor {i} is not positive semidefinite "
                     f"(classifies {report.kind.value})", i, "left factor not PSD")
     dim = a_list[0].shape[0]
-    svals = np.linalg.svd(np.vstack(a_list), compute_uv=False)
+    svals = np.linalg.svd(np.vstack([a / (frob_norm(a) or 1.0) for a in a_list]),
+                          compute_uv=False)
     rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
     if rank < dim:
         return (f"left factors have a joint kernel (stacked rank {rank} < {dim})",

@@ -753,6 +753,18 @@ def test_reduce_whose_fold_overflows_is_numerical_error_under_warnings_as_errors
     assert code.stderr == "hsdecomp reduce: error: a folded factor exceeds the float range\n"
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Known issues 1 and 18: both left factors (1e-10 I and 2e-10 I) lie below the vanishing "
+    "threshold tol max(1, ||a||_F) = 1e-9, whose floor of 1 is absolute, so the one-sum "
+    "fallback drops the first term: 1e298 (I x I) for 3e298 (I x I), relative error 0.67"))
+def test_two_sum_keeps_both_terms_of_a_tiny_left_large_right_operator(capsys, monkeypatch):
+    rep = run_json(["two-sum", "--in", fixture("reduce_fold_overflow.json")], capsys, monkeypatch)
+    with open(fixture("reduce_fold_overflow.json")) as f:
+        op = obj_to_operator(json.load(f))
+    out = obj_to_operator(rep["terms_out"]).as_lrsum()
+    assert rel_err(to_liouville(out) / 1e298, to_liouville(op) / 1e298) <= 1e-10
+
+
 def test_pd_decompose_where_the_squared_norms_overflow_under_warnings_as_errors():
     # each left factor times 1e155: an overflowed norm made every threshold infinite, so the
     # report dropped every off-diagonal block and exited 0 (a warning ended it under -W error)

@@ -667,3 +667,85 @@ def test_build_inner_product_shape_messages(a_list, b_list, message):
     with pytest.raises(InputError) as info:
         build_inner_product(a_list, b_list)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("a_list, b_list, error", [
+    ([I2], [I2, I2], "factor lists disagree in length: 1 vs 2"),
+    ([I2, np.ones((2, 3))], [I2], "a[1]: expected a square matrix, got shape (2, 3)"),
+    ([np.ones((2, 3))], [np.ones((2, 3))], "a[0]: expected a square matrix, got shape (2, 3)"),
+    ([I2, [[object()]]], [I2, I2], "a[1]: not convertible to a complex matrix"),
+    ([I2, I2], [[[1.0, 2.0]], I2], "b[0]: expected a square matrix, got shape (1, 2)"),
+    ([I2, I2], [I2, np.diag([1.0, np.nan])], "b[1]: entries must be finite"),
+    ([I2, [[np.inf]]], [np.diag([1.0, np.nan]), I2], "a[1]: entries must be finite"),
+    ([np.array([1.0, 2.0])], [I2], "a[0]: expected a square matrix, got shape (2,)"),
+    ([np.zeros((0, 0))], [np.zeros((0, 0))], "a[0]: expected a square matrix, got shape (0, 0)"),
+    ([I2, I3], [I3, I3], "factor pair 0 has inconsistent dimension"),
+    (iter([I2]), (x for x in [I2, I2]), "factor lists disagree in length: 1 vs 2"),
+], ids=["length", "non-square-before-length", "non-square-family", "inconvertible",
+        "non-square-right", "nan-in-last-factor", "left-before-right", "one-dimensional",
+        "empty-matrix", "mixed-dim-pair", "iterators"])
+def test_build_inner_product_names_the_first_bad_factor(a_list, b_list, error):
+    """A family the one-stack check refuses is checked factor by factor: every a[i], then
+    every b[i], then the lengths and the dimensions, as the error names them."""
+    with pytest.raises(InputError) as info:
+        build_inner_product(a_list, b_list)
+    assert type(info.value) is InputError and str(info.value) == error
+
+
+@pytest.mark.parametrize("count, d", [(1, 1), (3, 3)])
+def test_build_inner_product_checks_one_stack_and_keeps_it(monkeypatch, count, d):
+    """A valid family is converted and checked as one stack, decided by one Cholesky and one
+    SVD, with no per-factor check in ``forms``; the Form's factors are the rows of one
+    read-only copy of the input, which its terms keep without a second copy."""
+    rng = np.random.default_rng([534, count])
+    a_list = [random_psd(rng, d) + 0.05 * np.eye(d) for _ in range(count)]
+    b_list = [random_pd(rng, d) for _ in range(count)]
+    linalg = count_linalg(monkeypatch, "eigh", "cholesky", "svd")
+    calls = spy(monkeypatch, ((forms, "as_square_matrix"),))
+    phi = build_inner_product(a_list, b_list)
+    assert linalg == {"eigh": 0, "cholesky": 1, "svd": 1}
+    assert calls == {"as_square_matrix": 0}
+    stack = phi.op.terms[0].a.base
+    assert type(stack) is np.ndarray and stack.shape == (2 * count, d, d)
+    assert not stack.flags.writeable
+    factors = [x for t in phi.op.terms for x in (t.a, t.b)]
+    assert all(x.base is stack for x in factors)
+    assert [x.tobytes() for x in factors] == [
+        np.asarray(x, dtype=complex).tobytes() for pair in zip(a_list, b_list) for x in pair]
+    assert not any(np.shares_memory(stack, x) for x in a_list + b_list)
+
+
+@pytest.mark.parametrize("span", [6, 9, 12])
+def test_build_inner_product_kernel_verdict_is_scale_invariant(span):
+    """Scaling each left factor by its own 10^e, |e| <= span, keeps every kernel and every
+    PSD verdict, so the verdict is that of the unscaled family: kernel-disjoint families are
+    accepted and families with a joint kernel refused as such (Known issue 18: ranked
+    unnormalised, some scaled kernel-disjoint families read as a joint kernel)."""
+    rng = np.random.default_rng([535, span])
+    for trial in range(40):
+        d, count = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        joint = trial % 4 == 3
+        if joint:  # every left factor vanishes on one vector
+            v = random_matrix(rng, d)[:, :1]
+            p = np.eye(d) - v @ v.conj().T / np.vdot(v, v)
+            a_list = [p @ random_psd(rng, d) @ p for _ in range(count)]
+        else:
+            a_list = kernel_disjoint_psd_family(rng, d, count)
+        b_list = [random_pd(rng, d) for _ in range(count)]
+        scaled = [10.0 ** int(e) * a for e, a in zip(rng.integers(-span, span + 1, count),
+                                                      a_list)]
+        for family in (a_list, scaled):
+            if not joint:
+                build_inner_product(family, b_list)
+                continue
+            with pytest.raises(HypothesisViolatedError) as err:
+                build_inner_product(family, b_list)
+            assert err.value.reason == "joint kernel nontrivial"
+
+
+def test_build_inner_product_accepts_factors_near_the_top_of_the_float_range():
+    """sigma_max of the stacked family [1e308 I]*4 is 2e308, beyond the float range; the
+    normalised factors rank 2, so the family is accepted and its factors kept as given."""
+    a_list = [1e308 * I2] * 4
+    phi = build_inner_product(a_list, [I2] * 4)
+    assert all(np.array_equal(t.a, 1e308 * I2) for t in phi.op.terms)

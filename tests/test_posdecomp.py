@@ -5,6 +5,7 @@ import pytest
 from hsdecomp import (
     CertificateInvalidError,
     DegenerateFactorError,
+    HsDecompError,
     InputError,
     LRSum,
     NoProgressError,
@@ -70,6 +71,7 @@ from helpers import (
     replay_two_sum,
     shrinking_left_stage_inputs,
     stacked_kernel_trivial,
+    two_sum_input,
     wire_trace,
     zeta_check_reference,
 )
@@ -274,6 +276,48 @@ def test_two_sum_left_factor_vanished_falls_back():
         "f0": [[1.0, 0.0], [0.0, 0.0]], "alpha": [1.0, 0.0],
     }
     assert np.array_equal(signed_liouville(signed), np.eye(4))
+
+
+def test_two_sum_left_factor_at_the_vanishing_threshold_vanishes():
+    """A left factor whose norm equals the vanishing threshold, tol max(1, ||a||_F) over the
+    left factors, reads as zero, as a matrix within its threshold reads as singular."""
+    t = core._threshold(frob_norm(I2), 1e-9)
+    p1 = np.diag([t, 0.0])
+    assert frob_norm(p1) == t
+    _, trace = two_sum_pd(p1, -I2, I2, I2)
+    assert trace.step("one_sum_fallback").data["note"] == "left factor vanished"
+    _, trace = two_sum_pd(np.diag([2 * t, 0.0]), -I2, I2, I2)
+    assert not trace.has("one_sum_fallback")
+
+
+def _two_sum_outcome(a1, b1, a2, b2):
+    """The error type ``two_sum_pd`` raises, or the relative Liouville error of its output."""
+    try:
+        signed, _ = two_sum_pd(a1, b1, a2, b2)
+    except HsDecompError as exc:
+        return type(exc)
+    return rel_err(signed_liouville(signed), to_liouville(LRSum.from_pairs([(a1, b1), (a2, b2)])))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("c", [1e6, 1e9, 1e12, 1e100])
+def test_two_sum_is_invariant_under_a_factor_split(side, c):
+    """(c a, b) and (a, c b) are the same operator as (a, b) scaled by c, so on every draw
+    ``two_sum_pd`` returns that operator within 1e-10 or refuses as it refuses (a, b)
+    (Known issue 18: a left factor must not read as vanished against the right factors)."""
+    rng = np.random.default_rng(5)
+    pd = 0
+    for _ in range(100):
+        a1, b1, a2, b2 = two_sum_input(rng)
+        base = _two_sum_outcome(a1, b1, a2, b2)
+        scaled = (_two_sum_outcome(a1, c * b1, a2, c * b2) if side == "right"
+                  else _two_sum_outcome(c * a1, b1, c * a2, b2))
+        if isinstance(base, type):
+            assert scaled is base
+        else:
+            pd += 1
+            assert base <= 1e-10 and not isinstance(scaled, type) and scaled <= 1e-10
+    assert pd >= 20
 
 
 def test_shrink_offset_accepts_a_pair_and_stalls_at_the_floor(monkeypatch):

@@ -678,6 +678,49 @@ def test_pd_plus_kernel_disjoint_gives_pd(mirrored):
         assert lo > 0
 
 
+def _frozen_copy(x):
+    y = np.array(x, dtype=complex)
+    y.setflags(write=False)
+    return y
+
+
+def test_lrterm_keeps_only_frozen_factors():
+    """A term keeps a factor only when it is a contiguous, read-only complex128 array whose
+    memory owner is a read-only ndarray, checked as every factor is; it copies every other."""
+    rng = np.random.default_rng(16)
+    x, y = random_matrix(rng, 3), random_matrix(rng, 3)
+    frozen = _frozen_copy(x)
+    term = LRTerm(frozen, frozen.T)
+    assert term.a is frozen and term.b.base is frozen  # kept, F-ordered as the copy would be
+    assert LRTerm(term.a, term.b).a is term.a
+    # writable input: copied and made read-only; writing the input leaves the term as it was
+    left, right = x.copy(), y.copy()
+    term = LRTerm(left, right)
+    assert not (term.a.flags.writeable or term.b.flags.writeable)
+    left[0, 0] += 1.0
+    right[0, 0] += 1.0
+    assert np.array_equal(term.a, x) and np.array_equal(term.b, y)
+    # a read-only view of a writable owner: copied, so the owner cannot change the term
+    owner = x.copy()
+    view = owner[:]
+    view.setflags(write=False)
+    term = LRTerm(view, y)
+    assert not np.shares_memory(term.a, owner)
+    owner[1, 2] = 7.0
+    assert np.array_equal(term.a, x)
+    # an owner that is not an ndarray (frombuffer of bytes): copied
+    buffered = np.frombuffer(x.tobytes(), dtype=complex).reshape(3, 3)
+    assert not buffered.flags.writeable
+    assert LRTerm(buffered, y).a.base is None
+    # a frozen matrix with a NaN: still refused
+    bad = x.copy()
+    bad[2, 0] = np.nan
+    with pytest.raises(InputError, match="^a: entries must be finite$"):
+        LRTerm(_frozen_copy(bad), y)
+    with pytest.raises(InputError, match=r"^b: expected a square matrix, got shape \(3, 2\)$"):
+        LRTerm(frozen, _frozen_copy(y[:, :2]))
+
+
 def test_operator_equality_compares_values():
     s = random_lrsum(np.random.default_rng(15), 3, 4)
     eye = np.eye(2)
